@@ -20,25 +20,25 @@
 use std::collections::HashMap;
 
 use alt_loopir::tir::{BufId, Program, SExpr, Stmt, TirNode};
-use alt_loopir::LoopKind;
+use alt_loopir::{LoopKind, StoreMode};
 use alt_sim::MachineProfile;
-use alt_tensor::expr::{BinOp, Expr};
-use alt_tensor::op::Cond;
+use alt_tensor::expr::{Expr, VarExtents};
+use alt_tensor::op::{Cond, ScalarBinOp};
 
-use crate::ir::{CGroup, CLoop, CNode, CStmt, FOp, IOp, NativeKernel, VecBody};
+use crate::ir::{
+    CGroup, CLoop, CNode, CStmt, ChunkKernel, FOp, IOp, LaneLoad, NativeKernel, VecBody, VecStmt,
+};
 
 /// Symbolic side table of one compiled statement, kept only during
-/// compilation to drive the vector-chunk eligibility analysis.
+/// compilation to drive the chunk eligibility analysis.
 struct StmtSym {
     /// Flattened store-offset expression.
     store_off: Expr,
-    /// `(fop index, flattened offset expression)` per load.
-    loads: Vec<(usize, Expr)>,
+    /// `(fop index, buffer, flattened offset expression)` per load.
+    loads: Vec<(usize, u32, Expr)>,
     /// Every condition the statement consults: the store predicate plus
     /// all `Select` conditions.
     conds: Vec<Cond>,
-    /// Length of the statement's float program.
-    fops_len: usize,
 }
 
 struct Scope {
@@ -60,7 +60,10 @@ impl Scope {
 struct Compiler {
     /// Row-major physical strides per buffer.
     strides: Vec<Vec<i64>>,
-    lanes: u32,
+    /// Trip count of every in-scope loop variable, for range folding.
+    extents: VarExtents,
+    /// Deepest value stack of any chunked statement.
+    chunk_depth: usize,
     next_reg: u32,
     const_regs: HashMap<i64, u32>,
     var_regs: HashMap<u32, u32>,
@@ -147,14 +150,17 @@ impl Compiler {
     /// Flattens multi-dimensional physical indices into one offset
     /// expression against the buffer's row-major strides. The `Expr`
     /// smart constructors constant-fold, so layouts with constant index
-    /// components collapse at compile time.
+    /// components collapse at compile time, and range folding over the
+    /// enclosing loop extents removes the divisions and remainders that
+    /// cannot change value (`(o*64 + i) / 512` is `0` for `o < 8`,
+    /// `i < 64`), which keeps such offsets affine.
     fn flat_offset(&self, buf: BufId, indices: &[Expr]) -> Expr {
         let strides = &self.strides[buf.0];
         let mut off = Expr::c(0);
         for (e, &s) in indices.iter().zip(strides) {
             off = off.add(&e.mul_c(s));
         }
-        off
+        off.fold_ranges(&self.extents)
     }
 
     /// Compiles a scalar body to a stack program in recursive-descent
@@ -166,7 +172,7 @@ impl Compiler {
             SExpr::Load { buf, indices } => {
                 let off_sym = self.flat_offset(*buf, indices);
                 let (off, _) = self.compile_expr(&off_sym);
-                sym.loads.push((fops.len(), off_sym));
+                sym.loads.push((fops.len(), buf.0 as u32, off_sym));
                 fops.push(FOp::Load {
                     buf: buf.0 as u32,
                     off,
@@ -209,7 +215,6 @@ impl Compiler {
             store_off,
             loads: Vec::new(),
             conds: Vec::new(),
-            fops_len: 0,
         };
         let pred = s.pred.as_ref().map(|c| {
             sym.conds.push(c.clone());
@@ -217,7 +222,6 @@ impl Compiler {
         });
         let mut fops = Vec::new();
         self.compile_sexpr(&s.value, &mut fops, &mut sym);
-        sym.fops_len = fops.len();
         (
             CStmt {
                 buf: s.buf.0 as u32,
@@ -249,6 +253,7 @@ impl Compiler {
                     let var_reg = self.fresh();
                     self.var_regs.insert(var.id(), var_reg);
                     self.var_scope.insert(var.id(), self.scopes.len());
+                    self.extents.insert(var.id(), *extent);
                     self.scopes.push(Scope::new());
                     let (cbody, bsyms) = self.compile_nodes(body);
                     let scope = self.scopes.pop().expect("scope pushed above");
@@ -257,16 +262,26 @@ impl Compiler {
                     }
                     self.var_regs.remove(&var.id());
                     self.var_scope.remove(&var.id());
-                    let vec = if *kind == LoopKind::Vectorized && cbody.len() == 1 {
-                        bsyms[0].as_ref().and_then(|sym| vec_body(var.id(), sym))
+                    self.extents.remove(&var.id());
+                    let vectorized = *kind == LoopKind::Vectorized;
+                    let vec = if vectorized {
+                        vec_body(var.id(), &cbody, &bsyms)
                     } else {
                         None
                     };
+                    if let Some(v) = &vec {
+                        for (node, vs) in cbody.iter().zip(&v.stmts) {
+                            if let (CNode::Stmt(st), ChunkKernel::Eval { .. }) = (node, &vs.kernel)
+                            {
+                                self.chunk_depth = self.chunk_depth.max(stack_depth(&st.fops));
+                            }
+                        }
+                    }
                     out.push(CNode::Loop(CLoop {
                         var_reg,
                         extent: *extent,
                         parallel: *kind == LoopKind::Parallel,
-                        lanes: self.lanes,
+                        vectorized,
                         prologue: scope.ops,
                         body: cbody,
                         vec,
@@ -279,40 +294,6 @@ impl Compiler {
     }
 }
 
-/// Stride of `e` in variable `var` when `e` is affine in it
-/// (`e = base + stride·var` with `base` independent of `var`); `None`
-/// otherwise. Non-affine uses (`var` under division, modulo, min/max or a
-/// variable-scaled product) disqualify the vector fast path.
-fn affine_stride(e: &Expr, var: u32) -> Option<i64> {
-    match e {
-        Expr::Const(_) => Some(0),
-        Expr::Var(v) => Some(i64::from(v.id() == var)),
-        Expr::Bin(op, a, b) => match op {
-            BinOp::Add => Some(affine_stride(a, var)? + affine_stride(b, var)?),
-            BinOp::Sub => Some(affine_stride(a, var)? - affine_stride(b, var)?),
-            BinOp::Mul => match (a.uses_var(var), b.uses_var(var)) {
-                (false, false) => Some(0),
-                (true, false) => match **b {
-                    Expr::Const(k) => Some(affine_stride(a, var)? * k),
-                    _ => None,
-                },
-                (false, true) => match **a {
-                    Expr::Const(k) => Some(affine_stride(b, var)? * k),
-                    _ => None,
-                },
-                (true, true) => None,
-            },
-            BinOp::FloorDiv | BinOp::Mod | BinOp::Min | BinOp::Max => {
-                if e.uses_var(var) {
-                    None
-                } else {
-                    Some(0)
-                }
-            }
-        },
-    }
-}
-
 fn cond_uses_var(c: &Cond, var: u32) -> bool {
     match c {
         Cond::Ge(a, b) | Cond::Lt(a, b) | Cond::Eq(a, b) => a.uses_var(var) || b.uses_var(var),
@@ -320,32 +301,88 @@ fn cond_uses_var(c: &Cond, var: u32) -> bool {
     }
 }
 
-/// Vector-chunk eligibility for a single-statement `@vec` loop body: all
-/// offsets affine in the loop variable, no predicate or `Select`
-/// condition depending on it. Lanes then differ only by fixed offset
-/// strides, so the executor can run the integer prologue once per chunk.
-fn vec_body(var: u32, sym: &StmtSym) -> Option<VecBody> {
-    if sym.conds.iter().any(|c| cond_uses_var(c, var)) {
-        return None;
+/// Maximum value-stack depth of a stack program. Scanning in program
+/// order counts a `Select`'s else-arm on top of its then-arm's value,
+/// which over-estimates by one per `Select`; the bound stays safe.
+fn stack_depth(fops: &[FOp]) -> usize {
+    let (mut depth, mut max) = (0usize, 0usize);
+    for op in fops {
+        match op {
+            FOp::Imm(_) | FOp::Load { .. } => depth += 1,
+            FOp::Bin(_) => depth -= 1,
+            FOp::Un(_) | FOp::JumpIfZero { .. } | FOp::Jump { .. } => {}
+        }
+        max = max.max(depth);
     }
-    let store_stride = affine_stride(&sym.store_off, var)?;
-    let mut load_strides = vec![0i64; sym.fops_len];
-    for (idx, e) in &sym.loads {
-        load_strides[*idx] = affine_stride(e, var)?;
-    }
-    Some(VecBody {
-        store_stride,
-        load_strides,
-    })
+    max
 }
 
-/// Compiles a lowered program into a [`NativeKernel`] for the given
-/// machine profile (which only contributes the SIMD chunk width; the
-/// kernel's *semantics* are profile-independent by construction).
-pub fn compile(program: &Program, profile: &MachineProfile) -> NativeKernel {
+/// Chunk eligibility of a `@vec` loop body (see [`VecBody`]): statements
+/// only; per statement, offsets affine in `var`, conditions independent
+/// of it, a nonzero store stride; and every access to a buffer the body
+/// stores to at that buffer's store offset, so lanes never share a
+/// written slot.
+fn vec_body(var: u32, body: &[CNode], syms: &[Option<StmtSym>]) -> Option<VecBody> {
+    let pairs: Vec<(&CStmt, &StmtSym)> = body
+        .iter()
+        .zip(syms)
+        .map(|pair| match pair {
+            (CNode::Stmt(st), Some(sym)) => Some((st, sym)),
+            _ => None,
+        })
+        .collect::<Option<_>>()?;
+    let same_slot = |buf: u32, off: &Expr| {
+        pairs
+            .iter()
+            .all(|(st, sym)| st.buf != buf || off.linear_eq(&sym.store_off))
+    };
+    let mut stmts = Vec::with_capacity(pairs.len());
+    for &(st, sym) in &pairs {
+        if sym.conds.iter().any(|c| cond_uses_var(c, var)) || !same_slot(st.buf, &sym.store_off) {
+            return None;
+        }
+        let store_stride = sym.store_off.affine_coeff(var).filter(|&k| k != 0)?;
+        let mut load_strides = vec![0i64; st.fops.len()];
+        for (idx, buf, off) in &sym.loads {
+            if !same_slot(*buf, off) {
+                return None;
+            }
+            load_strides[*idx] = off.affine_coeff(var)?;
+        }
+        let kernel = match (st.mode, st.fops.as_slice()) {
+            (
+                StoreMode::Assign | StoreMode::AddAcc,
+                [FOp::Load { buf: ab, off: ao }, FOp::Load { buf: bb, off: bo }, FOp::Bin(ScalarBinOp::Mul)],
+            ) => ChunkKernel::Contract {
+                a: LaneLoad {
+                    buf: *ab,
+                    off: *ao,
+                    stride: load_strides[0],
+                },
+                b: LaneLoad {
+                    buf: *bb,
+                    off: *bo,
+                    stride: load_strides[1],
+                },
+            },
+            _ => ChunkKernel::Eval { load_strides },
+        };
+        stmts.push(VecStmt {
+            store_stride,
+            kernel,
+        });
+    }
+    Some(VecBody { stmts })
+}
+
+/// Compiles a lowered program into a [`NativeKernel`]. The kernel does
+/// not depend on the machine profile: `@vec` chunks have the fixed width
+/// [`CHUNK`](crate::ir::CHUNK), whatever the profile's SIMD width.
+pub fn compile(program: &Program, _profile: &MachineProfile) -> NativeKernel {
     let mut c = Compiler {
         strides: program.buffers.iter().map(|b| b.shape.strides()).collect(),
-        lanes: profile.vector_lanes.max(1),
+        extents: VarExtents::new(),
+        chunk_depth: 0,
         next_reg: 0,
         const_regs: HashMap::new(),
         var_regs: HashMap::new(),
@@ -370,5 +407,6 @@ pub fn compile(program: &Program, profile: &MachineProfile) -> NativeKernel {
         groups,
         n_regs: c.next_reg as usize,
         consts,
+        chunk_depth: c.chunk_depth,
     }
 }

@@ -14,6 +14,9 @@
 //! * **Float ops** ([`FOp`]) evaluate one statement body as a small stack
 //!   machine in the interpreter's recursive-descent order. `Select`
 //!   becomes a conditional jump so only the taken arm touches memory.
+//!
+//! A `@vec` loop that passes the chunk eligibility analysis also carries
+//! a [`VecBody`]: per statement, its lane strides and chunk kernel.
 
 use alt_loopir::StoreMode;
 use alt_tensor::expr::BinOp;
@@ -70,21 +73,65 @@ pub struct CStmt {
     pub fops: Vec<FOp>,
 }
 
-/// Per-lane offset adjustments for an order-preserving vector chunk.
+/// Lane width cap of one `@vec` chunk: the executor's per-thread value
+/// stack holds this many lanes per slot, whatever the profile's SIMD
+/// width.
+pub const CHUNK: usize = 64;
+
+/// Chunked execution plan of an eligible `@vec` loop.
 ///
-/// When the innermost `@vec` loop has a single-statement body whose
-/// physical offsets are affine in the loop variable and whose predicates
-/// do not depend on it, the executor runs the integer prologue once per
-/// SIMD-width chunk (at lane 0) and derives the remaining lanes by
-/// stepping each offset register by its stride. Lanes are still evaluated
-/// in lane order, so accumulation order — and hence every bit of a
-/// floating-point reduction — matches the scalar interpreter.
+/// A loop is eligible when its body is statements only and, for each of
+/// them, every offset is affine in the loop variable, no predicate or
+/// `Select` condition depends on it, and the store stride is not 0; and
+/// every access to a buffer the body stores to uses that buffer's store
+/// offset. Lanes then touch disjoint slots of every written buffer, so
+/// running each statement over a whole chunk (in statement order) gives
+/// every slot the same sequence of operations as the scalar loop, and the
+/// integer prologue runs once per chunk at its first lane.
 #[derive(Clone, Debug)]
 pub struct VecBody {
-    /// Stride of the store offset in the vectorized variable.
+    /// One plan per body statement, in body order.
+    pub stmts: Vec<VecStmt>,
+}
+
+/// How one statement of a chunked loop runs across a chunk.
+#[derive(Clone, Debug)]
+pub struct VecStmt {
+    /// Stride of the store offset in the loop variable (never 0).
     pub store_stride: i64,
-    /// Stride per [`FOp`] position (non-`Load` positions hold 0).
-    pub load_strides: Vec<i64>,
+    /// The chunk kernel.
+    pub kernel: ChunkKernel,
+}
+
+/// The chunk kernel of one statement.
+#[derive(Clone, Debug)]
+pub enum ChunkKernel {
+    /// Runs the statement's stack program with every value a chunk of
+    /// lanes; each [`FOp`] is one slice loop.
+    Eval {
+        /// Lane stride per [`FOp`] position (non-`Load` positions hold 0).
+        load_strides: Vec<i64>,
+    },
+    /// The contraction shape `dst = a × b` (`Assign`) or
+    /// `dst = dst + a × b` (`AddAcc`) as one fused loop: per lane one
+    /// multiply, then one add, exactly as the stack program computes it.
+    Contract {
+        /// The left factor.
+        a: LaneLoad,
+        /// The right factor.
+        b: LaneLoad,
+    },
+}
+
+/// A load with its lane stride.
+#[derive(Clone, Copy, Debug)]
+pub struct LaneLoad {
+    /// Source buffer index.
+    pub buf: u32,
+    /// Register holding the offset of the chunk's first lane.
+    pub off: u32,
+    /// Offset step per lane.
+    pub stride: i64,
 }
 
 /// A compiled loop nest node.
@@ -103,15 +150,16 @@ pub struct CLoop {
     pub extent: i64,
     /// Whether lowering marked this loop `@par` (spatial partitioning).
     pub parallel: bool,
-    /// SIMD width used for chunking when `vec` is present.
-    pub lanes: u32,
+    /// Whether lowering marked this loop `@vec`.
+    pub vectorized: bool,
     /// Integer ops to run at the top of every iteration: exactly the ops
     /// whose deepest variable dependency is this loop's variable.
     pub prologue: Vec<IOp>,
     /// Loop body in source order.
     pub body: Vec<CNode>,
-    /// Vector fast path; `Some` only when `body` is a single statement
-    /// that passed the affine/predicate-independence analysis.
+    /// Chunked execution plan; `Some` only for a `@vec` loop that passed
+    /// the eligibility analysis (see [`VecBody`]). `None` runs the scalar
+    /// loop.
     pub vec: Option<VecBody>,
 }
 
@@ -137,6 +185,8 @@ pub struct NativeKernel {
     pub n_regs: usize,
     /// `(register, value)` pairs loaded once before execution.
     pub consts: Vec<(u32, i64)>,
+    /// Value-stack depth (in chunks) the chunked statements need.
+    pub chunk_depth: usize,
 }
 
 /// Static shape of a compiled kernel, for logs and smoke tests.
@@ -148,8 +198,13 @@ pub struct KernelStats {
     pub iops: usize,
     /// Total float ops across all statement bodies.
     pub fops: usize,
-    /// Loops taking the order-preserving vector fast path.
+    /// `@vec` loops on the chunked path (contraction loops included).
     pub vec_loops: usize,
+    /// Chunked loops whose every statement runs the contraction kernel.
+    pub contraction_loops: usize,
+    /// `@vec` loops that failed the eligibility test and run the scalar
+    /// loop.
+    pub scalar_vec_loops: usize,
     /// Loops marked parallel.
     pub par_loops: usize,
 }
@@ -163,8 +218,18 @@ impl NativeKernel {
                     CNode::Stmt(st) => s.fops += st.fops.len(),
                     CNode::Loop(l) => {
                         s.iops += l.prologue.len();
-                        if l.vec.is_some() {
-                            s.vec_loops += 1;
+                        match &l.vec {
+                            Some(v) => {
+                                s.vec_loops += 1;
+                                if v.stmts
+                                    .iter()
+                                    .all(|st| matches!(st.kernel, ChunkKernel::Contract { .. }))
+                                {
+                                    s.contraction_loops += 1;
+                                }
+                            }
+                            None if l.vectorized => s.scalar_vec_loops += 1,
+                            None => {}
                         }
                         if l.parallel {
                             s.par_loops += 1;

@@ -18,10 +18,15 @@
 //!    interpreter's recursive descent; `Select` compiles to branches so
 //!    only the taken arm is evaluated (untaken arms may index out of
 //!    bounds by design).
-//! 2. **Order-preserving vector chunking.** The innermost `@vec` loop is
-//!    chunked by the machine profile's SIMD width, but lanes inside a
-//!    chunk are evaluated and stored in lane order, so reductions
-//!    accumulate in exactly the interpreter's sequence.
+//! 2. **Lane-disjoint vector chunking.** An eligible `@vec` loop runs in
+//!    chunks of up to [`ir::CHUNK`] lanes, each statement over the whole
+//!    chunk as slice loops (the contraction `dst (+)= a × b` as one fused
+//!    loop). Eligibility — affine offsets, lane-independent conditions,
+//!    a nonzero store stride, written buffers accessed only at their
+//!    store offset — makes lanes write disjoint slots, and every lane
+//!    performs the scalar loop's exact operations (multiply, then add;
+//!    no fused multiply-add), so every bit matches. Other `@vec` loops
+//!    run the scalar loop.
 //! 3. **Disjoint parallel partitions.** `@par` loops run on scoped
 //!    threads over contiguous iteration ranges. Lowering only marks
 //!    spatial (output-partitioning) loops parallel, so threads write
@@ -31,6 +36,10 @@
 //! into a three-address op placed at the loop level of its deepest
 //! variable dependency, with hash-consing CSE, so an expression like
 //! `(i / 8) * 64` is recomputed only when `i` changes — not per element.
+//!
+//! Chunked accesses are bounds-checked once per chunk in every build (the
+//! first and last lane bound an affine range) and panic on a violation;
+//! scalar accesses are checked in debug builds only.
 
 pub mod compile;
 pub mod exec;

@@ -10,11 +10,18 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use alt_codegen::compile;
+use alt_codegen::ir::{CNode, ChunkKernel};
 use alt_layout::{presets, Layout, LayoutPlan, LayoutPrim, PropagationMode};
-use alt_loopir::{lower, run_program, AxisTiling, GraphSchedule, OpSchedule, Program};
+use alt_loopir::tir::{BufId, LoweredGroup, SExpr, Stmt, TirNode};
+use alt_loopir::{
+    lower, pack_buffers, run_program, AxisTiling, GraphSchedule, LoopKind, OpSchedule, Program,
+    StoreMode,
+};
 use alt_models::all_models;
 use alt_sim::{all_profiles, MachineProfile};
 use alt_tensor::exec::random_bindings;
+use alt_tensor::expr::{Expr, Var};
+use alt_tensor::op::{Cond, ScalarBinOp};
 use alt_tensor::ops::{self, ConvCfg};
 use alt_tensor::{Graph, NdBuf, OpId, Shape, TensorId};
 
@@ -275,6 +282,308 @@ fn model_prefixes_are_bit_identical_on_every_profile() {
             );
         }
     }
+}
+
+/// A hand-written loop nest over `x: [rows, cols]` (an input) and
+/// `y: [rows, cols]` (an intermediate), for paths lowering never
+/// produces. `body(i, j, x, y)` builds the statements of
+/// `for i in 0..rows { for j in 0..vec_extent @vec { ... } }`.
+struct HandNest {
+    graph: Graph,
+    plan: LayoutPlan,
+    program: Program,
+}
+
+impl HandNest {
+    fn new(
+        rows: i64,
+        cols: i64,
+        vec_extent: i64,
+        body: impl FnOnce(&Var, &Var, BufId, BufId) -> Vec<Stmt>,
+    ) -> Self {
+        let mut graph = Graph::new();
+        let x = graph.add_input("x", Shape::new([rows, cols]));
+        let y = ops::relu(&mut graph, x);
+        let plan = LayoutPlan::new(PropagationMode::Full);
+        let mut program = lower(&graph, &plan, &GraphSchedule::naive());
+        let xb = program.buffer_for_tensor(x).unwrap();
+        let yb = program.buffer_for_tensor(y).unwrap();
+        let (i, j) = (Var::new(1000, "i"), Var::new(1001, "j"));
+        let stmts = body(&i, &j, xb, yb)
+            .into_iter()
+            .map(TirNode::Stmt)
+            .collect();
+        let inner = TirNode::loop_(j.clone(), vec_extent, LoopKind::Vectorized, stmts);
+        program.groups = vec![LoweredGroup {
+            root: graph.tensor(y).producer.unwrap(),
+            fused: Vec::new(),
+            nodes: vec![TirNode::loop_(i, rows, LoopKind::Serial, vec![inner])],
+            label: "hand".into(),
+        }];
+        Self {
+            graph,
+            plan,
+            program,
+        }
+    }
+
+    /// Asserts the `@vec` loop took the expected path and that native
+    /// equals the interpreter bit for bit on every profile.
+    fn check(&self, chunked: bool, what: &str) {
+        let stats = compile(&self.program, &alt_sim::intel_cpu()).stats();
+        assert_eq!(stats.vec_loops, usize::from(chunked), "{what}: {stats:?}");
+        assert_eq!(
+            stats.scalar_vec_loops,
+            usize::from(!chunked),
+            "{what}: {stats:?}"
+        );
+        let bindings = random_bindings(&self.graph, 17);
+        for p in all_profiles() {
+            assert_bit_identical(
+                &self.program,
+                &self.graph,
+                &self.plan,
+                &bindings,
+                &p,
+                2,
+                what,
+            );
+        }
+    }
+}
+
+fn load(buf: BufId, i: &Expr, j: &Expr) -> SExpr {
+    SExpr::Load {
+        buf,
+        indices: vec![i.clone(), j.clone()],
+    }
+}
+
+fn bin(op: ScalarBinOp, a: SExpr, b: SExpr) -> SExpr {
+    SExpr::Bin(op, Box::new(a), Box::new(b))
+}
+
+fn store(
+    buf: BufId,
+    i: &Expr,
+    j: &Expr,
+    mode: StoreMode,
+    value: SExpr,
+    pred: Option<Cond>,
+) -> Stmt {
+    Stmt {
+        buf,
+        indices: vec![i.clone(), j.clone()],
+        value,
+        mode,
+        pred,
+    }
+}
+
+#[test]
+fn chunked_path_handles_ragged_extents() {
+    // Extents below, at, and past the chunk width, none a multiple of it
+    // beyond the first chunk; a general statement followed by a
+    // contraction that reads its own store slot.
+    for cols in [7, 64, 100, 130] {
+        let nest = HandNest::new(3, cols, cols, |i, j, x, y| {
+            let (i, j) = (Expr::v(i), Expr::v(j));
+            let scaled = bin(ScalarBinOp::Mul, load(x, &i, &j), SExpr::Imm(2.0));
+            vec![
+                store(
+                    y,
+                    &i,
+                    &j,
+                    StoreMode::Assign,
+                    bin(ScalarBinOp::Add, scaled, SExpr::Imm(1.0)),
+                    None,
+                ),
+                store(
+                    y,
+                    &i,
+                    &j,
+                    StoreMode::AddAcc,
+                    bin(ScalarBinOp::Mul, load(x, &i, &j), load(y, &i, &j)),
+                    None,
+                ),
+            ]
+        });
+        let kernel = compile(&nest.program, &alt_sim::intel_cpu());
+        let CNode::Loop(outer) = &kernel.groups[0].nodes[0] else {
+            panic!("loop expected")
+        };
+        let CNode::Loop(inner) = &outer.body[0] else {
+            panic!("loop expected")
+        };
+        let kernels: Vec<bool> = inner
+            .vec
+            .as_ref()
+            .unwrap()
+            .stmts
+            .iter()
+            .map(|s| matches!(s.kernel, ChunkKernel::Contract { .. }))
+            .collect();
+        assert_eq!(kernels, [false, true], "cols {cols}");
+        nest.check(true, &format!("ragged extent {cols}"));
+    }
+}
+
+#[test]
+fn select_predicate_and_max_acc_run_chunked() {
+    // A `Select` and predicates that depend only on the outer row are
+    // constant within a chunk: rows 0 (pred-false Assign zeroes the
+    // chunk) and 3.. (pred-false AddAcc skips it) take the invalid path.
+    let nest = HandNest::new(5, 40, 40, |i, j, x, y| {
+        let (iv, jv) = (Expr::v(i), Expr::v(j));
+        let pick = SExpr::Select {
+            cond: Cond::Lt(iv.clone(), Expr::c(2)),
+            then_: Box::new(bin(ScalarBinOp::Mul, load(x, &iv, &jv), load(x, &iv, &jv))),
+            else_: Box::new(bin(ScalarBinOp::Sub, load(x, &iv, &jv), SExpr::Imm(1.0))),
+        };
+        let half = bin(ScalarBinOp::Mul, load(x, &iv, &jv), SExpr::Imm(0.5));
+        let square = bin(ScalarBinOp::Mul, load(x, &iv, &jv), load(x, &iv, &jv));
+        vec![
+            store(
+                y,
+                &iv,
+                &jv,
+                StoreMode::Assign,
+                pick,
+                Some(Cond::Ge(iv.clone(), Expr::c(1))),
+            ),
+            store(y, &iv, &jv, StoreMode::MaxAcc, half, None),
+            store(
+                y,
+                &iv,
+                &jv,
+                StoreMode::AddAcc,
+                square,
+                Some(Cond::Lt(iv.clone(), Expr::c(3))),
+            ),
+        ]
+    });
+    nest.check(true, "select/pred/max_acc");
+}
+
+#[test]
+fn ineligible_vec_loops_fall_back_to_scalar() {
+    // Store stride 0: a reduction along the `@vec` axis into y[i, 0].
+    let reduce = HandNest::new(4, 24, 24, |i, j, x, y| {
+        let (iv, jv) = (Expr::v(i), Expr::v(j));
+        vec![store(
+            y,
+            &iv,
+            &Expr::c(0),
+            StoreMode::AddAcc,
+            load(x, &iv, &jv),
+            None,
+        )]
+    });
+    reduce.check(false, "store stride 0");
+    // A load of the store buffer at a shifted offset: a prefix sum,
+    // y[i, j+1] = y[i, j] + x[i, j+1], which chunking would break.
+    let scan = HandNest::new(4, 70, 69, |i, j, x, y| {
+        let (iv, jv) = (Expr::v(i), Expr::v(j));
+        let next = jv.add_c(1);
+        let sum = bin(ScalarBinOp::Add, load(y, &iv, &jv), load(x, &iv, &next));
+        vec![store(y, &iv, &next, StoreMode::Assign, sum, None)]
+    });
+    scan.check(false, "shifted self-load");
+    // A `Select` whose condition depends on the lane.
+    let lane_cond = HandNest::new(2, 16, 16, |i, j, x, y| {
+        let (iv, jv) = (Expr::v(i), Expr::v(j));
+        let pick = SExpr::Select {
+            cond: Cond::Lt(jv.clone(), Expr::c(5)),
+            then_: Box::new(load(x, &iv, &jv)),
+            else_: Box::new(SExpr::Imm(3.0)),
+        };
+        vec![store(y, &iv, &jv, StoreMode::Assign, pick, None)]
+    });
+    lane_cond.check(false, "lane-dependent select");
+}
+
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn out_of_bounds_chunk_panics_in_release_builds() {
+    // y[i, j + 5] over j < 16 runs past the end of y on the last row. The
+    // chunked path checks first and last lane in every build, so this
+    // panics instead of writing out of bounds even without debug
+    // assertions.
+    let nest = HandNest::new(2, 16, 16, |i, j, x, y| {
+        let (iv, jv) = (Expr::v(i), Expr::v(j));
+        vec![store(
+            y,
+            &iv,
+            &jv.add_c(5),
+            StoreMode::Assign,
+            load(x, &iv, &jv),
+            None,
+        )]
+    });
+    let kernel = compile(&nest.program, &alt_sim::intel_cpu());
+    assert_eq!(kernel.stats().vec_loops, 1, "the chunked path must run");
+    let bindings = random_bindings(&nest.graph, 1);
+    let mut bufs = pack_buffers(&nest.program, &nest.graph, &nest.plan, &bindings);
+    kernel.execute(&mut bufs, 1);
+}
+
+#[test]
+fn tuned_bert_tiny_vec_loops_are_chunked_and_gmm_loops_contract() {
+    // The benchmark's program: BERT-tiny, intel, seed 0, budget 100.
+    let graph = alt_models::bert_tiny(1);
+    let compiled = alt_core::Compiler::new(alt_sim::intel_cpu())
+        .with_options(alt_core::CompileOptions {
+            joint_budget: 40,
+            loop_budget: 60,
+            seed: 0,
+            ..alt_core::CompileOptions::default()
+        })
+        .compile(&graph);
+    let kernel = compiled.native_kernel();
+    let stats = kernel.stats();
+    assert!(
+        stats.vec_loops > 0 && stats.scalar_vec_loops == 0,
+        "{stats:?}"
+    );
+    fn walk(nodes: &[CNode], gmm: bool, contractions: &mut usize) {
+        for n in nodes {
+            let CNode::Loop(l) = n else { continue };
+            if let (true, Some(v)) = (gmm, &l.vec) {
+                for (node, vs) in l.body.iter().zip(&v.stmts) {
+                    if let CNode::Stmt(s) = node {
+                        if s.mode == StoreMode::AddAcc {
+                            assert!(matches!(vs.kernel, ChunkKernel::Contract { .. }), "{vs:?}");
+                            *contractions += 1;
+                        }
+                    }
+                }
+            }
+            walk(&l.body, gmm, contractions);
+        }
+    }
+    let mut contractions = 0;
+    for g in &kernel.groups {
+        walk(
+            &g.nodes,
+            g.label.starts_with("gmm") || g.label.starts_with("batch_gmm"),
+            &mut contractions,
+        );
+    }
+    assert!(contractions > 0, "no gmm accumulation loops found");
+    // A prefix of the tuned program (its layouts included) matches the
+    // interpreter bit for bit.
+    let program = compiled.program().truncated(300_000);
+    let bindings = random_bindings(&graph, 3);
+    let profile = compiled.target_profile();
+    assert_bit_identical(
+        &program,
+        &graph,
+        compiled.plan(),
+        &bindings,
+        profile,
+        2,
+        "tuned bert-tiny",
+    );
 }
 
 fn divisors(n: i64) -> Vec<i64> {

@@ -308,8 +308,10 @@ fn run_run(rest: &[String]) -> i32 {
                          Compiles the model (tuning when --budget > 0, unoptimized\n\
                          otherwise) and executes it on random bindings. --native runs\n\
                          the compiled register-based kernel (stride-resolved loops,\n\
-                         SIMD-width chunking, scoped-thread @par) and prints per-op\n\
-                         calibration against the analytic cost model; the default runs\n\
+                         chunked @vec loops with a contraction kernel, scoped-thread\n\
+                         @par), prints how many @vec loops took the chunked, contraction\n\
+                         and scalar paths, and the per-op calibration against the\n\
+                         analytic cost model; the default runs\n\
                          the reference interpreter. --check runs both and fails unless\n\
                          outputs are bit-identical; --check-cap truncates the program\n\
                          to a statement-iteration budget first so large models stay\n\
@@ -385,7 +387,7 @@ fn run_run(rest: &[String]) -> i32 {
         let (r, stats) = kernel.run(&program, &graph, compiled.plan(), &bindings, threads);
         let breakdown = alt_sim::Simulator::new(machine).profile_program(&program);
         let table = alt_sim::calibrate(&breakdown, &stats.group_us);
-        Some((r, stats, table))
+        Some((r, stats, table, kernel.stats()))
     } else {
         None
     };
@@ -393,7 +395,7 @@ fn run_run(rest: &[String]) -> i32 {
     let mut check_passed = None;
     if check {
         let (want, got) = match (&interp_out, &native_res) {
-            (Some(w), Some((g, _, _))) => (w, g),
+            (Some(w), Some((g, ..))) => (w, g),
             _ => unreachable!("--check runs both executors"),
         };
         let mut mismatches = 0usize;
@@ -430,8 +432,16 @@ fn run_run(rest: &[String]) -> i32 {
         if let Some(us) = interp_us {
             obj.insert("interp_us".into(), serde_json::json!(us));
         }
-        if let Some((_, stats, table)) = &native_res {
+        if let Some((_, stats, table, kstats)) = &native_res {
             obj.insert("native_us".into(), serde_json::json!(stats.total_us));
+            obj.insert(
+                "kernel_paths".into(),
+                serde_json::json!({
+                    "vec_chunked": kstats.vec_loops,
+                    "vec_contraction": kstats.contraction_loops,
+                    "vec_scalar": kstats.scalar_vec_loops,
+                }),
+            );
             obj.insert("native_calibration".into(), table.to_json());
             if let Some(us) = interp_us {
                 obj.insert(
@@ -458,10 +468,14 @@ fn run_run(rest: &[String]) -> i32 {
         if let Some(us) = interp_us {
             println!("interp: {us:.1} us");
         }
-        if let Some((_, stats, table)) = &native_res {
+        if let Some((_, stats, table, kstats)) = &native_res {
             println!(
                 "native: {:.1} us ({} threads)",
                 stats.total_us, stats.threads
+            );
+            println!(
+                "kernel paths: {} @vec loops chunked ({} contraction), {} on the scalar fallback",
+                kstats.vec_loops, kstats.contraction_loops, kstats.scalar_vec_loops
             );
             if let Some(us) = interp_us {
                 println!(

@@ -29,6 +29,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use alt_autotune::tuner::{FixedLayout, LayoutSearch, TuneConfig};
 use alt_autotune::{tune_graph, FaultConfig, PpoWeights, TunerCheckpoint};
@@ -364,6 +365,7 @@ impl Compiler {
             store_misses: result.store_misses,
             timing_records,
             timing_manifest,
+            kernel: OnceLock::new(),
         }
     }
 
@@ -395,6 +397,7 @@ impl Compiler {
             store_misses: 0,
             timing_records: Vec::new(),
             timing_manifest: None,
+            kernel: OnceLock::new(),
         }
     }
 }
@@ -416,6 +419,8 @@ pub struct CompiledGraph {
     store_misses: u64,
     timing_records: Vec<Record>,
     timing_manifest: Option<serde_json::Value>,
+    /// The native kernel, compiled on first use.
+    kernel: OnceLock<alt_codegen::NativeKernel>,
 }
 
 impl CompiledGraph {
@@ -429,11 +434,11 @@ impl CompiledGraph {
         run_program(&self.program, &self.graph, &self.plan, bindings)
     }
 
-    /// Compiles the program into the native register-based kernel for
-    /// the target machine profile. Cheap (one walk over the loop tree);
-    /// callers that execute repeatedly should reuse the kernel.
-    pub fn native_kernel(&self) -> alt_codegen::NativeKernel {
-        alt_codegen::compile(&self.program, &self.profile)
+    /// The program compiled into the native register-based kernel,
+    /// compiled on the first call and reused by every later one.
+    pub fn native_kernel(&self) -> &alt_codegen::NativeKernel {
+        self.kernel
+            .get_or_init(|| alt_codegen::compile(&self.program, &self.profile))
     }
 
     /// Executes the compiled program through the native executor.

@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use alt_tensor::expr::Expr;
+use alt_tensor::expr::{Expr, Var};
 use alt_tensor::op::Cond;
 use alt_tensor::{NdBuf, Shape};
 
@@ -474,7 +474,7 @@ pub fn num_tiles(d: i64, tile: i64, stride: i64) -> i64 {
 
 /// Extents of index variables, used to recognize sliding-window access
 /// patterns (`V*i + r`) so `unfold` can apply the paper's Eq. 1.
-pub type VarExtents = HashMap<u32, i64>;
+pub use alt_tensor::expr::VarExtents;
 
 /// Result of pattern-matching an access expression against `V*i + r`.
 struct WindowPattern {
@@ -859,18 +859,80 @@ impl Layout {
         Ok(Some(log))
     }
 
+    /// The canonical slot map as a strided one: `(base, strides)` such
+    /// that logical index `i` lives at flat physical offset
+    /// `base + Σ strides[k]·i[k]`.
+    ///
+    /// The offset is derived once from the same [`Layout::rewrite_access`]
+    /// expression that [`Layout::logical_to_physical`] evaluates (with no
+    /// extents, so the canonical slot is the same), flattened against the
+    /// physical strides and range-folded over the logical extents
+    /// ([`Expr::fold_ranges`]). `None` when that offset is not affine in
+    /// the logical indices, and for chains holding a primitive that
+    /// duplicates, reserves or bit-permutes slots (`unfold`, `store_at`,
+    /// swizzle, Morton, block-diagonal).
+    pub(crate) fn strided_slots(&self) -> Option<(i64, Vec<i64>)> {
+        if self.prims.iter().any(|p| {
+            !matches!(
+                p,
+                LayoutPrim::Split { .. }
+                    | LayoutPrim::Reorder { .. }
+                    | LayoutPrim::Fuse { .. }
+                    | LayoutPrim::Pad { .. }
+            )
+        }) {
+            return None;
+        }
+        let dims = self.logical.dims();
+        let vars: Vec<Var> = (0..dims.len())
+            .map(|k| Var::new(k as u32, format!("i{k}")))
+            .collect();
+        let logical: Vec<Expr> = vars.iter().map(Expr::v).collect();
+        let phys = self.rewrite_access(&logical, &VarExtents::new()).ok()?;
+        let extents: VarExtents = vars.iter().map(Var::id).zip(dims.iter().copied()).collect();
+        let off = phys
+            .iter()
+            .zip(self.physical_strides())
+            .fold(Expr::c(0), |acc, (e, s)| acc.add(&e.mul_c(s)))
+            .fold_ranges(&extents);
+        let strides = vars
+            .iter()
+            .map(|v| off.affine_coeff(v.id()))
+            .collect::<Option<Vec<i64>>>()?;
+        let mut origin = alt_tensor::Env::new();
+        for v in &vars {
+            origin.bind(v, 0);
+        }
+        Some((off.eval(&origin), strides))
+    }
+
     /// Packs a logically-laid-out buffer into this physical layout.
     ///
     /// Physical slots with no logical element (padding, overhang) are
     /// zero-filled; overlapped slots duplicate their logical element.
+    /// Identity layouts copy the buffer, and layouts whose canonical slot
+    /// map is affine in the logical indices (after range folding; no
+    /// `unfold`, `store_at`, swizzle, Morton or block-diagonal primitive)
+    /// do a strided copy; both equal [`Layout::pack_per_element`] bit for
+    /// bit.
     pub fn pack(&self, logical: &NdBuf) -> Result<NdBuf, LayoutError> {
-        if logical.shape() != &self.logical {
-            return Err(LayoutError::ShapeMismatch {
-                what: "pack",
-                expected: self.logical.dims().to_vec(),
-                got: logical.shape().dims().to_vec(),
-            });
+        self.check_logical(logical)?;
+        if self.is_identity() {
+            return Ok(logical.clone());
         }
+        let Some((base, strides)) = self.strided_slots() else {
+            return self.pack_per_element(logical);
+        };
+        let mut out = NdBuf::zeros(self.try_physical_shape()?);
+        let (src, dst) = (logical.data(), out.data_mut());
+        for_each_slot(self.logical.dims(), base, &strides, |l, p| dst[p] = src[l]);
+        Ok(out)
+    }
+
+    /// The reference [`Layout::pack`]: one inverse mapping
+    /// ([`Layout::physical_to_logical`]) per physical slot.
+    pub fn pack_per_element(&self, logical: &NdBuf) -> Result<NdBuf, LayoutError> {
+        self.check_logical(logical)?;
         let phys = self.try_physical_shape()?;
         let mut out = NdBuf::zeros(phys.clone());
         for pidx in phys.iter_indices() {
@@ -882,8 +944,47 @@ impl Layout {
     }
 
     /// Unpacks a physical buffer back to logical order using canonical
-    /// slots.
+    /// slots. Identity layouts copy the buffer and strided layouts do a
+    /// strided copy; both equal [`Layout::unpack_per_element`] bit for
+    /// bit.
     pub fn unpack(&self, physical: &NdBuf) -> Result<NdBuf, LayoutError> {
+        self.check_physical(physical)?;
+        if self.is_identity() {
+            return Ok(physical.clone());
+        }
+        let Some((base, strides)) = self.strided_slots() else {
+            return self.unpack_per_element(physical);
+        };
+        let mut out = NdBuf::zeros(self.logical.clone());
+        let (src, dst) = (physical.data(), out.data_mut());
+        for_each_slot(self.logical.dims(), base, &strides, |l, p| dst[l] = src[p]);
+        Ok(out)
+    }
+
+    /// The reference [`Layout::unpack`]: one forward mapping
+    /// ([`Layout::logical_to_physical`]) per logical element.
+    pub fn unpack_per_element(&self, physical: &NdBuf) -> Result<NdBuf, LayoutError> {
+        self.check_physical(physical)?;
+        let mut out = NdBuf::zeros(self.logical.clone());
+        for lidx in self.logical.clone().iter_indices() {
+            let pidx = self.logical_to_physical(&lidx)?;
+            out.set(&lidx, physical.get(&pidx));
+        }
+        Ok(out)
+    }
+
+    fn check_logical(&self, logical: &NdBuf) -> Result<(), LayoutError> {
+        if logical.shape() != &self.logical {
+            return Err(LayoutError::ShapeMismatch {
+                what: "pack",
+                expected: self.logical.dims().to_vec(),
+                got: logical.shape().dims().to_vec(),
+            });
+        }
+        Ok(())
+    }
+
+    fn check_physical(&self, physical: &NdBuf) -> Result<(), LayoutError> {
         let phys = self.try_physical_shape()?;
         if physical.shape() != &phys {
             return Err(LayoutError::ShapeMismatch {
@@ -892,12 +993,45 @@ impl Layout {
                 got: physical.shape().dims().to_vec(),
             });
         }
-        let mut out = NdBuf::zeros(self.logical.clone());
-        for lidx in self.logical.clone().iter_indices() {
-            let pidx = self.logical_to_physical(&lidx)?;
-            out.set(&lidx, physical.get(&pidx));
+        Ok(())
+    }
+}
+
+/// Calls `f(logical_flat, physical_flat)` for every logical index of
+/// `dims` in row-major order, the physical offset being
+/// `base + Σ strides[k]·i[k]` (stepped incrementally, one add per
+/// element).
+fn for_each_slot(dims: &[i64], base: i64, strides: &[i64], mut f: impl FnMut(usize, usize)) {
+    if dims.iter().any(|&d| d <= 0) {
+        return;
+    }
+    let Some((&inner, outer)) = dims.split_last() else {
+        return f(0, base as usize);
+    };
+    let s_inner = strides[outer.len()];
+    let mut idx = vec![0i64; outer.len()];
+    let mut row = base;
+    let mut l = 0usize;
+    loop {
+        for j in 0..inner {
+            f(l, (row + j * s_inner) as usize);
+            l += 1;
         }
-        Ok(out)
+        // Odometer step over the outer dimensions.
+        let mut k = outer.len();
+        loop {
+            if k == 0 {
+                return;
+            }
+            k -= 1;
+            idx[k] += 1;
+            row += strides[k];
+            if idx[k] < outer[k] {
+                break;
+            }
+            row -= strides[k] * outer[k];
+            idx[k] = 0;
+        }
     }
 }
 
@@ -1387,6 +1521,69 @@ mod tests {
         let packed = l.pack(&logical).unwrap();
         let unpacked = l.unpack(&packed).unwrap();
         assert_eq!(unpacked.data(), logical.data());
+    }
+
+    #[test]
+    fn strided_slots_cover_affine_chains_only() {
+        let base = || Layout::identity(Shape::new([4, 6]));
+        // Identity: plain row-major strides.
+        assert_eq!(base().strided_slots(), Some((0, vec![6, 1])));
+        // Transpose.
+        let t = base()
+            .with(LayoutPrim::Reorder { perm: vec![1, 0] })
+            .unwrap();
+        assert_eq!(t.strided_slots(), Some((0, vec![1, 4])));
+        // Pad shifts the base and widens the row.
+        let p = base()
+            .with(LayoutPrim::Pad {
+                dim: 1,
+                before: 1,
+                after: 2,
+            })
+            .unwrap();
+        assert_eq!(p.strided_slots(), Some((1, vec![9, 1])));
+        // A unit split folds away (range-aware `/` and `%`).
+        let u = base()
+            .with(LayoutPrim::Split {
+                dim: 0,
+                factors: vec![1, 4],
+            })
+            .unwrap();
+        assert_eq!(u.strided_slots(), Some((0, vec![6, 1])));
+        // A real tiling split is not affine in the logical index.
+        let tiled = base()
+            .with(LayoutPrim::Split {
+                dim: 1,
+                factors: vec![2, 3],
+            })
+            .unwrap()
+            .with(LayoutPrim::Reorder {
+                perm: vec![1, 0, 2],
+            })
+            .unwrap();
+        assert_eq!(tiled.strided_slots(), None);
+        // Duplicating, slot-reserving and bit-permuting primitives never
+        // take the strided path.
+        for prim in [
+            LayoutPrim::Unfold {
+                dim: 1,
+                tile: 6,
+                stride: 6,
+            },
+            LayoutPrim::StoreAtHost { dim: 0 },
+            LayoutPrim::Swizzle {
+                dim: 1,
+                src: 0,
+                bits: 1,
+            },
+            LayoutPrim::BlockDiag {
+                dim: 1,
+                src: 0,
+                block: 1,
+            },
+        ] {
+            assert_eq!(base().with(prim).unwrap().strided_slots(), None);
+        }
     }
 
     #[test]

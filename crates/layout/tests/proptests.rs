@@ -29,8 +29,16 @@ fn factorize(n: i64, rng_val: u64) -> Vec<i64> {
     factors
 }
 
-/// Applies up to `n_prims` random valid primitives to a layout.
-fn random_layout(shape: Shape, seed: u64, n_prims: usize) -> Layout {
+/// Primitive kinds drawn by the original invariant tests: split, reorder,
+/// fuse, unfold and pad.
+const BASIC_KINDS: usize = 5;
+/// Every primitive kind, the advanced ones (swizzle, Morton,
+/// block-diagonal, store_at) included.
+const ALL_KINDS: usize = 9;
+
+/// Applies up to `n_prims` random valid primitives, drawn from the first
+/// `kinds` primitive kinds, to a layout.
+fn random_layout(shape: Shape, seed: u64, n_prims: usize, kinds: usize) -> Layout {
     let mut layout = Layout::identity(shape);
     let mut x = seed;
     let mut next = || {
@@ -42,7 +50,7 @@ fn random_layout(shape: Shape, seed: u64, n_prims: usize) -> Layout {
     for _ in 0..n_prims {
         let dims = layout.physical_shape();
         let nd = dims.ndim();
-        match next() % 5 {
+        match next() % kinds {
             0 => {
                 // Split a dimension with size > 1.
                 let candidates: Vec<usize> = (0..nd).filter(|&k| dims.dim(k) > 1).collect();
@@ -82,13 +90,42 @@ fn random_layout(shape: Shape, seed: u64, n_prims: usize) -> Layout {
                     });
                 }
             }
-            _ => {
+            4 => {
                 let k = next() % nd;
                 let _ = layout.apply(LayoutPrim::Pad {
                     dim: k,
                     before: (next() % 3) as i64,
                     after: (next() % 3) as i64,
                 });
+            }
+            5 => {
+                let dim = next() % nd;
+                let src = next() % nd;
+                let bits = 1 + (next() % 2) as u32;
+                let _ = layout.apply(LayoutPrim::Swizzle { dim, src, bits });
+            }
+            6 => {
+                // Morton needs two equal power-of-two dims: use a pair
+                // already there, or split a square power of two into one.
+                let k = next() % nd;
+                let d = dims.dim(k);
+                let r = (1..=d).find(|r| r * r >= d).unwrap_or(1);
+                if r > 1 && r * r == d && r & (r - 1) == 0 {
+                    let _ = layout.apply(LayoutPrim::Split {
+                        dim: k,
+                        factors: vec![r, r],
+                    });
+                }
+                let _ = layout.apply(LayoutPrim::Morton { dim: k });
+            }
+            7 => {
+                let dim = next() % nd;
+                let src = next() % nd;
+                let block = 1 + (next() as i64) % dims.dim(dim).max(2);
+                let _ = layout.apply(LayoutPrim::BlockDiag { dim, src, block });
+            }
+            _ => {
+                let _ = layout.apply(LayoutPrim::StoreAtHost { dim: next() % nd });
             }
         }
     }
@@ -102,7 +139,7 @@ proptest! {
     /// any primitive sequence (including overlapping unfolds and pads).
     #[test]
     fn pack_unpack_roundtrip(shape in arb_shape(), seed in any::<u64>(), n in 0usize..4) {
-        let layout = random_layout(shape.clone(), seed, n);
+        let layout = random_layout(shape.clone(), seed, n, BASIC_KINDS);
         let logical = NdBuf::from_fn(shape, |i| (i % 251) as f32 + 1.0);
         let packed = layout.pack(&logical).unwrap();
         let unpacked = layout.unpack(&packed).unwrap();
@@ -113,7 +150,7 @@ proptest! {
     /// inverts back to the same logical index.
     #[test]
     fn logical_physical_inverse(shape in arb_shape(), seed in any::<u64>(), n in 0usize..4) {
-        let layout = random_layout(shape.clone(), seed, n);
+        let layout = random_layout(shape.clone(), seed, n, BASIC_KINDS);
         let phys = layout.physical_shape();
         for idx in shape.iter_indices().step_by(7) {
             let p = layout.logical_to_physical(&idx).unwrap();
@@ -129,7 +166,7 @@ proptest! {
     /// duplicated or padded, never lost).
     #[test]
     fn physical_capacity_bounds(shape in arb_shape(), seed in any::<u64>(), n in 0usize..4) {
-        let layout = random_layout(shape.clone(), seed, n);
+        let layout = random_layout(shape.clone(), seed, n, BASIC_KINDS);
         prop_assert!(layout.physical_shape().numel() >= shape.numel());
     }
 
@@ -138,7 +175,7 @@ proptest! {
     /// logical elements.
     #[test]
     fn physical_slots_cover_logical(shape in arb_shape(), seed in any::<u64>(), n in 0usize..3) {
-        let layout = random_layout(shape.clone(), seed, n);
+        let layout = random_layout(shape.clone(), seed, n, BASIC_KINDS);
         let phys = layout.physical_shape();
         prop_assume!(phys.numel() <= 4096);
         let mut covered = vec![false; shape.numel() as usize];
@@ -148,5 +185,31 @@ proptest! {
             }
         }
         prop_assert!(covered.iter().all(|&c| c), "some logical element has no slot");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The identity and strided fast paths of `pack`/`unpack` equal the
+    /// per-element reference bit for bit, over chains of every primitive
+    /// kind. Unpack reads a physical buffer with a distinct value in
+    /// every slot, so a wrong canonical slot cannot hide.
+    #[test]
+    fn fast_pack_unpack_equal_per_element(
+        shape in arb_shape(),
+        seed in any::<u64>(),
+        n in 0usize..5,
+    ) {
+        let layout = random_layout(shape.clone(), seed, n, ALL_KINDS);
+        let logical = NdBuf::from_fn(shape, |i| (i % 251) as f32 - 7.5);
+        let fast = layout.pack(&logical).unwrap();
+        let slow = layout.pack_per_element(&logical).unwrap();
+        prop_assert_eq!(fast.shape(), slow.shape());
+        prop_assert!(fast.data().iter().zip(slow.data()).all(|(a, b)| a.to_bits() == b.to_bits()));
+        let physical = NdBuf::from_fn(layout.physical_shape(), |i| i as f32 * 0.5 + 1.0);
+        let fast = layout.unpack(&physical).unwrap();
+        let slow = layout.unpack_per_element(&physical).unwrap();
+        prop_assert!(fast.data().iter().zip(slow.data()).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 }
