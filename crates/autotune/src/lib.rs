@@ -8,6 +8,8 @@
 //!   [`features`].
 //! * [`measure`] — budget-accounted measurement against the hardware
 //!   model.
+//! * [`observe`] — the tuner's one candidate event and the [`Observer`]
+//!   that derives the trace, journal and progress heartbeat from it.
 //! * [`tuner`] — the two-stage joint tuner with the cross-exploration
 //!   architecture (Fig. 8).
 //! * [`fault`] / [`rng`] — seeded fault injection drawing from the
@@ -21,6 +23,7 @@ pub mod features;
 pub mod gbt;
 pub mod measure;
 pub mod nn;
+pub mod observe;
 pub mod parallel;
 pub mod ppo;
 pub mod pretrain;
@@ -34,6 +37,7 @@ pub use checkpoint::TunerCheckpoint;
 pub use fault::{Fault, FaultConfig, FaultInjector};
 pub use gbt::{GbtModel, GbtParams};
 pub use measure::Measurer;
+pub use observe::Observer;
 pub use parallel::ordered_map;
 pub use ppo::{CriticState, PpoAgent, PpoWeights, SharedCritic};
 pub use pretrain::{pretrain_ppo, tune_with_pretraining};

@@ -1,9 +1,10 @@
 //! Live tuning progress: a throttled stderr heartbeat.
 //!
-//! The heartbeat is strictly observational — it reads the budget counter
-//! and cache/store statistics that the tuner maintains anyway, draws
-//! nothing from the RNG, and writes only to stderr (never to the trace,
-//! journal or timing sinks), so `--progress` cannot change a run.
+//! The heartbeat is strictly observational — one of the projections of
+//! the tuner's candidate events (`crate::observe`): it reads the budget
+//! counter and cache/store statistics the events carry, draws nothing
+//! from the RNG, and writes only to stderr (never to the trace, journal
+//! or timing sinks), so `--progress` cannot change a run.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -19,14 +20,9 @@ const DEFAULT_INTERVAL_S: f64 = 1.0;
 /// the remaining cold candidates wildly optimistic until the very end.
 const RATE_WINDOW_S: f64 = 5.0;
 
-/// A throttled stderr progress reporter. Disabled by default
-/// ([`Progress::disabled`]): every tick is a no-op and costs no clock
-/// read.
+/// A throttled stderr progress reporter. The run's observer builds one
+/// only when `--progress` asked for it.
 pub struct Progress {
-    inner: Option<ProgressInner>,
-}
-
-struct ProgressInner {
     /// Total budget (joint + loop), for the fraction and the ETA.
     total: u64,
     t0: Instant,
@@ -47,45 +43,33 @@ struct ProgressState {
 }
 
 impl Progress {
-    /// The disabled reporter: no clock, no output.
-    pub fn disabled() -> Self {
-        Self { inner: None }
-    }
-
-    /// An enabled reporter for a run of `total` budget units, printing
-    /// at most once a second.
-    pub fn enabled(total: u64) -> Self {
+    /// A reporter for a run of `total` budget units, printing at most
+    /// once a second.
+    pub fn new(total: u64) -> Self {
         Self::with_interval(total, DEFAULT_INTERVAL_S)
     }
 
-    /// An enabled reporter with a custom throttle interval (tests use
-    /// `0.0` to capture every tick).
+    /// A reporter with a custom throttle interval (tests use `0.0` to
+    /// capture every tick).
     pub fn with_interval(total: u64, min_interval_s: f64) -> Self {
         Self {
-            inner: Some(ProgressInner {
-                total,
-                t0: Instant::now(),
-                min_interval_s,
-                state: Mutex::new(ProgressState::default()),
-            }),
+            total,
+            t0: Instant::now(),
+            min_interval_s,
+            state: Mutex::new(ProgressState::default()),
         }
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Reports one consumed budget unit. Prints a heartbeat line to
     /// stderr when at least the throttle interval has passed since the
     /// last one (the first tick always prints).
     pub fn tick(&self, used: u64, cache: (u64, u64), store: (u64, u64)) {
-        let Some(inner) = &self.inner else { return };
-        let elapsed = inner.t0.elapsed().as_secs_f64();
-        let mut state = inner.state.lock().unwrap_or_else(|e| e.into_inner());
+        let elapsed = self.t0.elapsed().as_secs_f64();
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.samples.push_back((elapsed, used));
         trim_window(&mut state.samples, elapsed);
         if let Some(prev) = state.last_print_s {
-            if elapsed - prev < inner.min_interval_s {
+            if elapsed - prev < self.min_interval_s {
                 return;
             }
         }
@@ -98,7 +82,7 @@ impl Progress {
         } else {
             0.0
         });
-        eprintln!("{}", line(used, inner.total, rate, cache, store));
+        eprintln!("{}", line(used, self.total, rate, cache, store));
     }
 }
 
@@ -192,27 +176,19 @@ mod tests {
     }
 
     #[test]
-    fn disabled_progress_ticks_silently() {
-        let p = Progress::disabled();
-        assert!(!p.is_enabled());
-        p.tick(1, (0, 0), (0, 0));
-    }
-
-    #[test]
     fn throttle_suppresses_rapid_ticks() {
         // With a huge interval only the first tick prints; the test
         // observes the throttle state rather than capturing stderr.
         let p = Progress::with_interval(10, 1e9);
         p.tick(1, (0, 0), (0, 0));
-        let inner = p.inner.as_ref().expect("enabled");
-        let first = inner
+        let first = p
             .state
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .last_print_s
             .expect("first tick prints");
         p.tick(2, (0, 0), (0, 0));
-        let second = inner
+        let second = p
             .state
             .lock()
             .unwrap_or_else(|e| e.into_inner())

@@ -18,20 +18,14 @@
 //! accounting.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
-use alt_journal::{
-    finite, outcome, provenance, CandidateRecord, JournalHeader, JournalRecord, JournalSummary,
-    LayoutCommitRecord, LayoutVisitRecord, JOURNAL_VERSION,
-};
+use alt_journal::{finite, outcome, provenance, JournalHeader, JournalSummary, JOURNAL_VERSION};
 use alt_layout::{presets, Layout, LayoutPlan, PropagationMode};
 use alt_loopir::{try_lower_filtered, GraphSchedule, OpSchedule};
 use alt_sim::MachineProfile;
-use alt_telemetry::{
-    CostModelRecord, CounterRegistry, PpoUpdateRecord, Record, Span, Stage, Telemetry, Timing,
-    VerifyRejectionRecord,
-};
+use alt_telemetry::{CostModelRecord, CounterRegistry, PpoUpdateRecord, Record, Span, Stage};
 use alt_tensor::{Graph, OpId, OpTag};
 
 use crate::checkpoint::{
@@ -42,6 +36,7 @@ use crate::fault::{FaultConfig, FaultInjector};
 use crate::features::extract_features;
 use crate::gbt::{GbtModel, GbtParams};
 use crate::measure::Measurer;
+use crate::observe::{Attempt, Candidate, CandidateEvent, Fate, Observer, RunObserver};
 use crate::parallel::ordered_map;
 use crate::ppo::{pad_obs, CriticState, PpoAgent, PpoWeights, SharedCritic};
 use crate::rng::SharedRng;
@@ -112,10 +107,6 @@ pub struct TuneConfig {
     /// NCHW) before exploring. On by default; the search-method study
     /// (Fig. 11) disables it to compare raw explorers.
     pub seed_candidates: bool,
-    /// Trace sink for structured tuning-run telemetry. Disabled
-    /// (`Telemetry::noop()`) by default; with a sink attached, every
-    /// budget unit emits one measurement record.
-    pub telemetry: Telemetry,
     /// Fault injection for the measurement path (`None` = perfectly
     /// reliable). Faults draw from the tuner's own seeded stream, so a
     /// run is reproduced by its seed and fault configuration.
@@ -154,13 +145,6 @@ pub struct TuneConfig {
     /// `verify.rejected` counter plus one `verify_rejection` trace
     /// record each. On by default.
     pub verify: bool,
-    /// Search-journal sink: one record per generated candidate with its
-    /// terminal outcome, plus layout visits, layout commits, a run
-    /// header and a final summary. Disabled (`Journal::noop()`) by
-    /// default. Emission happens only on the sequential accounting path
-    /// and never draws from the RNG or consumes budget, so attaching a
-    /// journal cannot change a run.
-    pub journal: alt_journal::Journal,
     /// Durable cross-run result store (`altc --store`). When attached,
     /// measurements are served from / published into the store through
     /// the memo cache, and a completed run's winner is stored under its
@@ -170,20 +154,17 @@ pub struct TuneConfig {
     /// stay bit-identical to store-less runs — only how much simulation
     /// work it takes to get there.
     pub store: Option<std::sync::Arc<alt_store::Store>>,
-    /// Wall-clock self-profile (`altc --timing`). Disabled
-    /// (`Timing::disabled()`) by default. When enabled, the tuner opens
-    /// phases (`joint_stage`, `loop_stage`, `candidate_gen`, `lower`,
-    /// `gbt_score`, `prewarm`, `measure`, `simulate`, `retry`,
-    /// `checkpoint`) on the accounting thread and attaches the timing
-    /// registry to the memo cache and store for I/O latency histograms.
-    /// Timing is observation-only: it has its own sink and never writes
-    /// to the deterministic trace/journal streams, so enabling it
-    /// cannot change a run.
-    pub timing: Timing,
-    /// Print a throttled progress heartbeat to stderr (`altc
-    /// --progress`): budget fraction, candidates/s, cache and store hit
-    /// rates, ETA. Reads existing statistics only; cannot change a run.
-    pub progress: bool,
+    /// Where the run's observations go: trace, journal, wall-clock
+    /// timing and progress heartbeat, all off by default. The tuner
+    /// hands it one event per candidate outcome, layout visit and layout
+    /// commit, and it derives every stream from those events. With
+    /// timing on, the tuner also opens phases (`joint_stage`,
+    /// `loop_stage`, `candidate_gen`, `lower`, `gbt_score`, `prewarm`,
+    /// `measure`, `simulate`, `retry`, `checkpoint`) on the accounting
+    /// thread and attaches the timing registry to the memo cache and
+    /// store. Observation never draws from the RNG or consumes budget,
+    /// so it cannot change a run.
+    pub observer: Observer,
 }
 
 impl Default for TuneConfig {
@@ -204,7 +185,6 @@ impl Default for TuneConfig {
             layout_search: LayoutSearch::Ppo,
             fixed_layout: None,
             seed_candidates: true,
-            telemetry: Telemetry::noop(),
             faults: None,
             max_retries: 2,
             quarantine_threshold: 2,
@@ -214,10 +194,8 @@ impl Default for TuneConfig {
             halt_after: None,
             jobs: 1,
             verify: true,
-            journal: alt_journal::Journal::noop(),
             store: None,
-            timing: Timing::disabled(),
-            progress: false,
+            observer: Observer::default(),
         }
     }
 }
@@ -335,6 +313,8 @@ impl LoopTuneState {
 /// The tuner.
 pub struct Tuner<'g> {
     graph: &'g Graph,
+    /// The run's configuration. Its `observer` is moved into `obs` at
+    /// construction and left at its (all-off) default here.
     cfg: TuneConfig,
     measurer: Measurer<'g>,
     rng: SharedRng,
@@ -351,15 +331,20 @@ pub struct Tuner<'g> {
     committed: Vec<CommitSnap>,
     /// Budget counter value at the last checkpoint write.
     last_checkpoint: u64,
-    /// Failure kind of the last `measure_with_retry` give-up, for the
-    /// journal's `failed` records. `None` after a success.
-    last_failure: Option<String>,
+    /// The run's observer: every trace, journal and heartbeat output is
+    /// derived from the events handed to it.
+    obs: RunObserver,
+    /// Stage currently spending the budget.
+    stage: Stage,
+    /// Best latency measured so far per op tag (checkpointed, in key
+    /// order; the trace's `best_so_far_s`).
+    best_by_op: BTreeMap<String, f64>,
 }
 
 impl<'g> Tuner<'g> {
     /// Creates a tuner.
-    pub fn new(graph: &'g Graph, profile: MachineProfile, cfg: TuneConfig) -> Self {
-        let mut measurer = Measurer::with_telemetry(graph, profile, cfg.telemetry.clone());
+    pub fn new(graph: &'g Graph, profile: MachineProfile, mut cfg: TuneConfig) -> Self {
+        let mut measurer = Measurer::new(graph, profile);
         // One stream for search and faults: the injector interleaves its
         // draws with the tuner's, so "same seed, same fault config" means
         // the same run. With zero fault rate no injector is attached and
@@ -379,18 +364,17 @@ impl<'g> Tuner<'g> {
         // sink of the memo cache (`memo.*_us`) and the store
         // (`store.*_us`), and the measurer opens a `simulate` phase per
         // cache probe. All of it is observation-only.
-        if let Some(reg) = cfg.timing.registry() {
+        if let Some(reg) = cfg.observer.timing.registry() {
             measurer.sim_cache().attach_registry(reg.clone());
             if let Some(store) = &cfg.store {
                 store.attach_registry(reg);
             }
-            measurer.set_timing(cfg.timing.clone());
+            measurer.set_timing(cfg.observer.timing.clone());
         }
-        if cfg.progress {
-            measurer.set_progress(crate::progress::Progress::enabled(
-                cfg.joint_budget + cfg.loop_budget,
-            ));
-        }
+        let obs = RunObserver::new(
+            std::mem::take(&mut cfg.observer),
+            cfg.joint_budget + cfg.loop_budget,
+        );
         Self {
             graph,
             cfg,
@@ -403,7 +387,9 @@ impl<'g> Tuner<'g> {
             registry: CounterRegistry::new("tuner"),
             committed: Vec::new(),
             last_checkpoint: 0,
-            last_failure: None,
+            obs,
+            stage: Stage::Joint,
+            best_by_op: BTreeMap::new(),
         }
     }
 
@@ -439,7 +425,7 @@ impl<'g> Tuner<'g> {
         }
         let shares = budget_shares(self.graph, &reps);
 
-        let telemetry = self.cfg.telemetry.clone();
+        let telemetry = self.obs.trace().clone();
         let joint_ran = self.cfg.fixed_layout.is_none() && self.cfg.joint_budget > 0;
 
         // ---- Warm start ----
@@ -495,13 +481,7 @@ impl<'g> Tuner<'g> {
         // to the journal its interrupted predecessor started, which
         // already begins with this exact header.
         if !resumed {
-            self.cfg.journal.emit(JournalRecord::Header(JournalHeader {
-                version: JOURNAL_VERSION,
-                seed: self.cfg.seed,
-                profile_fp: self.measurer.sim_cache().profile_fp(),
-                joint_budget: self.cfg.joint_budget,
-                loop_budget: self.cfg.loop_budget,
-            }));
+            self.obs.start(self.journal_header());
         }
 
         // ---- Joint stage (Fig. 8) ----
@@ -512,9 +492,9 @@ impl<'g> Tuner<'g> {
         // consumes exactly `joint_budget + loop_budget` measurements.
         let mut halted = false;
         if joint_ran && !reps.is_empty() && !skip_joint {
-            let span = Span::enter(&telemetry, "joint_stage");
-            let _timing = self.cfg.timing.phase("joint_stage");
-            self.measurer.ctx.stage = Stage::Joint;
+            let _span = Span::enter(&telemetry, "joint_stage");
+            let _timing = self.obs.timing().phase("joint_stage");
+            self.stage = Stage::Joint;
             if start_rep == 0 {
                 joint_start = self.measurer.used;
             }
@@ -550,30 +530,9 @@ impl<'g> Tuner<'g> {
                         op: op.0,
                         point: point.clone(),
                     });
-                    span.event(
-                        "layout_committed",
-                        &[
-                            ("op", op_label(self.graph, op)),
-                            ("point", format!("{point:?}")),
-                        ],
-                    );
                     for &clone in &clones_of[&op] {
-                        if let Some(ct) = build_layout_template_ex(
-                            self.graph,
-                            clone,
-                            self.cfg.levels,
-                            self.cfg.advanced_layouts,
-                        ) {
-                            if let Ok(dec) = decode_layout_point(self.graph, &ct, &point) {
-                                apply_layout_decision(
-                                    self.graph,
-                                    &mut plan,
-                                    clone,
-                                    &dec,
-                                    self.cfg.free_input_layouts,
-                                );
-                                sched.set(clone, lsched.clone());
-                            }
+                        if self.apply_layout_point(&mut plan, clone, &point) {
+                            sched.set(clone, lsched.clone());
                         }
                     }
                 }
@@ -586,8 +545,8 @@ impl<'g> Tuner<'g> {
         let target = if joint_ran { self.cfg.joint_budget } else { 0 } + self.cfg.loop_budget;
         if !halted && !reps.is_empty() && self.measurer.used < target {
             let _span = Span::enter(&telemetry, "loop_stage");
-            let _timing = self.cfg.timing.phase("loop_stage");
-            self.measurer.ctx.stage = Stage::Loop;
+            let _timing = self.obs.timing().phase("loop_stage");
+            self.stage = Stage::Loop;
             let mut i = start_loop_iter;
             while self.measurer.used < target {
                 if self.checkpoint_cut("loop", 0, i, joint_start, &sched, None) {
@@ -614,18 +573,16 @@ impl<'g> Tuner<'g> {
         // A halted run writes no summary — its resumed successor will,
         // so the halted and resumed journals concatenate into exactly
         // the journal an uninterrupted run would have written.
+        let has_store = self.cfg.store.is_some();
+        let (sh, sm) = self.measurer.store_stats();
+        let summary = (!halted).then_some(JournalSummary {
+            measurements: self.measurer.used,
+            best_latency_s: finite(latency),
+            store_hits: has_store.then_some(sh),
+            store_misses: has_store.then_some(sm),
+            warm_start: has_store.then_some(false),
+        });
         if !halted {
-            let has_store = self.cfg.store.is_some();
-            let (sh, sm) = self.measurer.store_stats();
-            self.cfg
-                .journal
-                .emit(JournalRecord::Summary(JournalSummary {
-                    measurements: self.measurer.used,
-                    best_latency_s: finite(latency),
-                    store_hits: has_store.then_some(sh),
-                    store_misses: has_store.then_some(sm),
-                    warm_start: has_store.then_some(false),
-                }));
             // A completed run publishes its winner for future identical
             // tasks; a halted run does not (its resumed successor will).
             // A failed publish degrades the store, never the run.
@@ -647,9 +604,14 @@ impl<'g> Tuner<'g> {
                 }
             }
         }
-        self.cfg.journal.flush();
-        self.registry.flush_to(&telemetry);
-        self.measurer.flush_counters();
+        self.obs.finish(
+            summary,
+            &self.registry,
+            self.measurer
+                .sim_cache()
+                .has_store()
+                .then(|| self.measurer.store_stats()),
+        );
         let (cache_hits, cache_misses) = self.measurer.cache_stats();
         let (store_hits, store_misses) = self.measurer.store_stats();
         TuneResult {
@@ -681,29 +643,7 @@ impl<'g> Tuner<'g> {
         clones_of: &HashMap<OpId, Vec<OpId>>,
     ) -> TuneResult {
         for c in &w.committed {
-            let op = OpId(c.op);
-            let mut targets = vec![op];
-            if let Some(clones) = clones_of.get(&op) {
-                targets.extend(clones.iter().copied());
-            }
-            for t in targets {
-                if let Some(tmpl) = build_layout_template_ex(
-                    self.graph,
-                    t,
-                    self.cfg.levels,
-                    self.cfg.advanced_layouts,
-                ) {
-                    if let Ok(dec) = decode_layout_point(self.graph, &tmpl, &c.point) {
-                        apply_layout_decision(
-                            self.graph,
-                            &mut plan,
-                            t,
-                            &dec,
-                            self.cfg.free_input_layouts,
-                        );
-                    }
-                }
-            }
+            self.replay_commit(&mut plan, c, clones_of);
         }
         for (k, snap) in w.sched.iter().enumerate() {
             sched.set(OpId(k), snap.to_sched());
@@ -714,25 +654,21 @@ impl<'g> Tuner<'g> {
         }
         // The journal still records the (trivial) run, so downstream
         // consumers always find a header and a summary.
-        self.cfg.journal.emit(JournalRecord::Header(JournalHeader {
-            version: JOURNAL_VERSION,
-            seed: self.cfg.seed,
-            profile_fp: self.measurer.sim_cache().profile_fp(),
-            joint_budget: self.cfg.joint_budget,
-            loop_budget: self.cfg.loop_budget,
-        }));
-        self.cfg
-            .journal
-            .emit(JournalRecord::Summary(JournalSummary {
+        self.obs.start(self.journal_header());
+        self.obs.finish(
+            Some(JournalSummary {
                 measurements: 0,
                 best_latency_s: finite(latency),
                 store_hits: Some(0),
                 store_misses: Some(0),
                 warm_start: Some(true),
-            }));
-        self.cfg.journal.flush();
-        self.registry.flush_to(&self.cfg.telemetry);
-        self.measurer.flush_counters();
+            }),
+            &self.registry,
+            self.measurer
+                .sim_cache()
+                .has_store()
+                .then(|| self.measurer.store_stats()),
+        );
         TuneResult {
             plan,
             sched,
@@ -744,6 +680,38 @@ impl<'g> Tuner<'g> {
             store_hits: 0,
             store_misses: 0,
             warm_start: true,
+        }
+    }
+
+    /// Applies a layout point to `op`'s template. Template construction
+    /// and decoding are deterministic, so re-applying a committed point
+    /// rebuilds exactly the plan it was committed to. Returns whether
+    /// the point applied.
+    fn apply_layout_point(&self, plan: &mut LayoutPlan, op: OpId, point: &Point) -> bool {
+        let cfg = &self.cfg;
+        let Some(tmpl) = build_layout_template_ex(self.graph, op, cfg.levels, cfg.advanced_layouts)
+        else {
+            return false;
+        };
+        let Ok(dec) = decode_layout_point(self.graph, &tmpl, point) else {
+            return false;
+        };
+        apply_layout_decision(self.graph, plan, op, &dec, cfg.free_input_layouts);
+        true
+    }
+
+    /// Replays one committed decision on its task's representative and
+    /// clones.
+    fn replay_commit(
+        &self,
+        plan: &mut LayoutPlan,
+        c: &CommitSnap,
+        clones_of: &HashMap<OpId, Vec<OpId>>,
+    ) {
+        let op = OpId(c.op);
+        let clones = clones_of.get(&op).into_iter().flatten().copied();
+        for t in std::iter::once(op).chain(clones) {
+            self.apply_layout_point(plan, t, &c.point);
         }
     }
 
@@ -761,34 +729,12 @@ impl<'g> Tuner<'g> {
         self.rng.restore(state);
         self.measurer.used = ck.used;
         self.measurer.history = ck.history.clone();
-        self.measurer.restore_best(&ck.best_by_op);
+        self.best_by_op = ck.best_by_op.iter().cloned().collect();
         // Replay the committed joint-stage decisions in commit order;
         // template construction and decoding are deterministic, so the
         // rebuilt plan is identical to the one the checkpoint cut from.
         for c in &ck.committed {
-            let op = OpId(c.op);
-            let mut targets = vec![op];
-            if let Some(clones) = clones_of.get(&op) {
-                targets.extend(clones.iter().copied());
-            }
-            for t in targets {
-                if let Some(tmpl) = build_layout_template_ex(
-                    self.graph,
-                    t,
-                    self.cfg.levels,
-                    self.cfg.advanced_layouts,
-                ) {
-                    if let Ok(dec) = decode_layout_point(self.graph, &tmpl, &c.point) {
-                        apply_layout_decision(
-                            self.graph,
-                            plan,
-                            t,
-                            &dec,
-                            self.cfg.free_input_layouts,
-                        );
-                    }
-                }
-            }
+            self.replay_commit(plan, c, clones_of);
             self.committed.push(c.clone());
         }
         for (k, snap) in ck.sched.iter().enumerate() {
@@ -876,7 +822,7 @@ impl<'g> Tuner<'g> {
             joint_start,
             used: self.measurer.used,
             history: self.measurer.history.clone(),
-            best_by_op: self.measurer.best_snapshot(),
+            best_by_op: self.best_by_op.clone().into_iter().collect(),
             rng_state: self.rng.state().to_vec(),
             committed: self.committed.clone(),
             sched: (0..self.graph.nodes().len())
@@ -910,7 +856,7 @@ impl<'g> Tuner<'g> {
             return false;
         }
         if let Some(path) = self.cfg.checkpoint_path.clone() {
-            let _timing = self.cfg.timing.phase("checkpoint");
+            let _timing = self.obs.timing().phase("checkpoint");
             let ck = self.snapshot(
                 phase,
                 next_rep,
@@ -929,89 +875,132 @@ impl<'g> Tuner<'g> {
         halt
     }
 
-    /// Measures with bounded retry on transient faults. Every attempt
-    /// consumes one budget unit (capped at `cap`); the exponential
-    /// backoff between attempts is recorded in the trace, not slept
-    /// (the simulator has no wall clock). Returns `None` when the
-    /// candidate ultimately failed — after updating its failure count
-    /// and, past the threshold, the quarantine set.
-    fn measure_with_retry(
+    /// The journal header identifying this run.
+    fn journal_header(&self) -> JournalHeader {
+        JournalHeader {
+            version: JOURNAL_VERSION,
+            seed: self.cfg.seed,
+            profile_fp: self.measurer.sim_cache().profile_fp(),
+            joint_budget: self.cfg.joint_budget,
+            loop_budget: self.cfg.loop_budget,
+        }
+    }
+
+    /// Measures one candidate with bounded retry on transient faults and
+    /// hands its outcome to the observer. Every attempt consumes one
+    /// budget unit (capped at `cap`); the exponential backoff between
+    /// attempts is recorded, not slept (the simulator has no wall
+    /// clock). Returns the latency, or `None` when the last attempt
+    /// failed — the candidate's failure count is then updated and, past
+    /// the threshold, it joins the quarantine set.
+    fn measure_candidate(
         &mut self,
         plan: &LayoutPlan,
         sched: &GraphSchedule,
         roots: &HashSet<OpId>,
         cap: u64,
+        cand: Candidate,
     ) -> Option<f64> {
         let max_attempts = (1 + self.cfg.max_retries).min(cap.max(1));
-        let mut attempt = 1u64;
-        loop {
-            self.measurer.ctx.attempt = attempt;
-            self.measurer.ctx.backoff_us = if attempt <= 1 {
-                0
-            } else {
-                100u64 << (attempt - 2).min(20)
-            };
+        let label = cand.label();
+        // Every attempt is kept for the observer; an unobserved run
+        // needs none of them.
+        let observed = self.obs.is_enabled();
+        let mut attempts = Vec::new();
+        let mut index = 0;
+        let latency = loop {
+            index += 1;
             // Re-attempts get their own wall-clock phase so fault/retry
             // cost shows up separately from first-try measurement.
-            let attempt_result = if attempt > 1 {
-                let _timing = self.cfg.timing.phase("retry");
-                self.measurer.measure_ops(plan, sched, roots)
+            let result = if index > 1 {
+                let _timing = self.obs.timing().phase("retry");
+                self.measurer.measure_ops(plan, sched, roots, &label)
             } else {
-                self.measurer.measure_ops(plan, sched, roots)
+                self.measurer.measure_ops(plan, sched, roots, &label)
             };
-            match attempt_result {
-                Ok(lat) => {
-                    self.measurer.ctx.attempt = 1;
-                    self.measurer.ctx.backoff_us = 0;
-                    self.last_failure = None;
-                    return Some(lat);
-                }
-                Err(e) => {
-                    self.registry.add(&format!("failures.{}", e.kind()), 1.0);
-                    if e.is_transient() && attempt < max_attempts {
-                        self.registry.add("retries", 1.0);
-                        attempt += 1;
-                        continue;
-                    }
-                    self.last_failure = Some(e.kind().to_string());
-                    let key = format!("{}:{}", self.measurer.ctx.op, self.measurer.ctx.candidate);
+            let latency = result.as_ref().ok().map(|m| m.latency_s);
+            let mut retry = false;
+            if let Err(e) = &result {
+                self.registry.add(&format!("failures.{}", e.kind()), 1.0);
+                retry = e.is_transient() && index < max_attempts;
+                if retry {
+                    self.registry.add("retries", 1.0);
+                } else {
+                    let key = format!("{}:{label}", cand.op);
                     let count = self.fail_counts.entry(key.clone()).or_insert(0);
                     *count += 1;
                     if *count >= self.cfg.quarantine_threshold && self.quarantine.insert(key) {
                         self.registry.add("quarantined", 1.0);
                     }
-                    self.measurer.ctx.attempt = 1;
-                    self.measurer.ctx.backoff_us = 0;
-                    return None;
                 }
             }
+            let backoff_us = if index <= 1 {
+                0
+            } else {
+                100u64 << (index - 2).min(20)
+            };
+            if observed {
+                attempts.push(Attempt {
+                    seq: self.measurer.used,
+                    index,
+                    backoff_us,
+                    result,
+                });
+            }
+            if !retry {
+                break latency;
+            }
+        };
+        // Tracked for every run, observed or not, so checkpoints do not
+        // depend on which streams are attached.
+        if let Some(lat) = latency {
+            let best = self
+                .best_by_op
+                .entry(cand.op.to_string())
+                .or_insert(f64::INFINITY);
+            if lat < *best {
+                *best = lat;
+            }
         }
+        if observed {
+            let best_s = self
+                .best_by_op
+                .get(cand.op)
+                .copied()
+                .unwrap_or(f64::INFINITY);
+            let attempts = &attempts;
+            self.observe_candidate(cand, Fate::Attempted { attempts, best_s });
+        }
+        latency
     }
 
-    /// Base candidate record capturing the measurement context (op,
-    /// stage, round, budget counter); call sites fill outcome-specific
-    /// fields before emitting.
-    fn candidate_base(&self, origin: &str, point: &[usize], outcome: &str) -> CandidateRecord {
-        CandidateRecord {
-            op: self.measurer.ctx.op.clone(),
-            stage: match self.measurer.ctx.stage {
-                Stage::Joint => "joint",
-                Stage::Loop => "loop",
-            }
-            .to_string(),
-            round: self.measurer.ctx.round,
-            provenance: origin.to_string(),
-            point: point.iter().map(|&x| x as u64).collect(),
-            outcome: outcome.to_string(),
-            predicted: None,
-            latency_s: None,
-            vcode: None,
-            error: None,
-            attempts: 0,
-            budget_end: self.measurer.used,
-            program_fp: None,
-            cache_key: None,
+    /// Hands one candidate's terminal outcome to the observer (when any
+    /// projection is on).
+    fn observe_candidate(&self, candidate: Candidate, fate: Fate) {
+        if !self.obs.is_enabled() {
+            return;
         }
+        self.obs.candidate(&CandidateEvent {
+            candidate,
+            fate,
+            budget_end: self.measurer.used,
+            cache: self.measurer.cache_stats(),
+            store: self.measurer.store_stats(),
+        });
+    }
+
+    /// Hands a candidate that ended without spending budget to the
+    /// observer.
+    fn observe_dropped(&self, op: &str, round: u64, origin: &str, point: &[usize], fate: Fate) {
+        let candidate = Candidate {
+            op,
+            stage: self.stage,
+            round,
+            provenance: origin,
+            point,
+            predicted: None,
+        };
+        self.observe_candidate(candidate, fate);
     }
 
     /// Folds one candidate's set-engine counters into the run registry.
@@ -1032,69 +1021,13 @@ impl<'g> Tuner<'g> {
         );
     }
 
-    /// Journals a zero-budget terminal outcome (`skipped`,
-    /// `quarantined`, `lower_failed`, `verify_rejected`).
-    fn journal_dropped(&self, origin: &str, point: &[usize], outcome: &str, vcode: Option<String>) {
-        if !self.cfg.journal.is_enabled() {
-            return;
+    /// Hands one assessed layout candidate of the joint stage to the
+    /// observer.
+    fn observe_layout_visit(&self, op: OpId, origin: &str, point: &[usize], latency_s: f64) {
+        if self.obs.is_enabled() {
+            self.obs
+                .layout_visit(&op_label(self.graph, op), origin, point, latency_s);
         }
-        let mut rec = self.candidate_base(origin, point, outcome);
-        rec.vcode = vcode;
-        self.cfg.journal.emit(JournalRecord::Candidate(rec));
-    }
-
-    /// Journals the terminal outcome of a budgeted measurement:
-    /// `measured` / `cache_hit` on success (with the cache-probe
-    /// fingerprints), `failed` after retries gave up. `attempts` is the
-    /// exact number of budget units the candidate consumed, including
-    /// retries — the journal-side half of the budget conservation law.
-    fn journal_attempted(
-        &self,
-        origin: &str,
-        point: &[usize],
-        predicted: Option<f64>,
-        result: Option<f64>,
-        used_before: u64,
-    ) {
-        if !self.cfg.journal.is_enabled() {
-            return;
-        }
-        let mut rec = self.candidate_base(origin, point, outcome::FAILED);
-        rec.predicted = predicted;
-        rec.attempts = self.measurer.used - used_before;
-        match result {
-            Some(lat) => {
-                rec.latency_s = finite(lat);
-                let probe = self.measurer.last_probe;
-                rec.outcome = if probe.is_some_and(|p| p.hit) {
-                    outcome::CACHE_HIT
-                } else {
-                    outcome::MEASURED
-                }
-                .to_string();
-                if let Some(p) = probe {
-                    rec.program_fp = Some(p.program_fp);
-                    rec.cache_key = Some(p.cache_key);
-                }
-            }
-            None => rec.error = self.last_failure.clone(),
-        }
-        self.cfg.journal.emit(JournalRecord::Candidate(rec));
-    }
-
-    /// Journals one assessed layout candidate of the joint stage.
-    fn journal_layout_visit(&self, op: OpId, origin: &str, point: &[usize], lat: f64) {
-        if !self.cfg.journal.is_enabled() {
-            return;
-        }
-        self.cfg
-            .journal
-            .emit(JournalRecord::LayoutVisit(LayoutVisitRecord {
-                op: op_label(self.graph, op),
-                provenance: origin.to_string(),
-                point: point.iter().map(|&x| x as u64).collect(),
-                latency_s: finite(lat),
-            }));
     }
 
     /// Joint tuning of one complex operator: the cross-exploration loop.
@@ -1116,7 +1049,6 @@ impl<'g> Tuner<'g> {
         }
         let n_knobs = tmpl.space.knobs.len();
         let start = self.measurer.used;
-        self.measurer.ctx.op = op_label(self.graph, op);
         // Reserve roughly a third of the op budget for re-assessing the
         // finalists; exploration gets the rest. Both phases are hard-capped
         // so the op never spends more than `budget` in total.
@@ -1186,7 +1118,7 @@ impl<'g> Tuner<'g> {
                 .max(1);
             let lat =
                 self.loop_tune_rounds(op, &trial, sched, self.cfg.rounds_per_layout, remaining);
-            self.journal_layout_visit(op, origin, &point, lat);
+            self.observe_layout_visit(op, origin, &point, lat);
             // A fully-faulted assessment yields no latency; skip reward
             // bookkeeping (inf/inf would poison the PPO baseline) and
             // move on from this layout.
@@ -1207,9 +1139,9 @@ impl<'g> Tuner<'g> {
             cur_point = point;
         }
         agent.update();
-        if self.cfg.telemetry.is_enabled() {
+        if self.obs.trace().is_enabled() {
             for (episode, s) in agent.take_update_log().into_iter().enumerate() {
-                self.cfg.telemetry.emit(Record::PpoUpdate(PpoUpdateRecord {
+                self.obs.trace().emit(Record::PpoUpdate(PpoUpdateRecord {
                     op: op_label(self.graph, op),
                     episode: episode as u64 + 1,
                     transitions: s.transitions as u64,
@@ -1250,7 +1182,7 @@ impl<'g> Tuner<'g> {
                 .saturating_sub(self.measurer.used - finalist_start)
                 .max(1);
             let lat = self.loop_tune_rounds(op, &trial, sched, 3, rem);
-            self.journal_layout_visit(op, provenance::FINALIST, point, lat);
+            self.observe_layout_visit(op, provenance::FINALIST, point, lat);
             if lat.is_finite() && best.as_ref().map(|b| lat < b.0).unwrap_or(true) {
                 best = Some((lat, point.clone(), sched.get(op)));
             }
@@ -1262,14 +1194,9 @@ impl<'g> Tuner<'g> {
                 apply_layout_decision(self.graph, plan, op, &decision, self.cfg.free_input_layouts);
                 sched.set(op, lsched.clone());
                 self.best_points.remove(&op);
-                if self.cfg.journal.is_enabled() {
-                    self.cfg
-                        .journal
-                        .emit(JournalRecord::LayoutCommit(LayoutCommitRecord {
-                            op: op_label(self.graph, op),
-                            point: point.iter().map(|&x| x as u64).collect(),
-                            latency_s: finite(lat),
-                        }));
+                if self.obs.is_enabled() {
+                    self.obs
+                        .layout_commit(&op_label(self.graph, op), &point, lat);
                 }
                 return Some((point, lsched));
             }
@@ -1330,12 +1257,12 @@ impl<'g> Tuner<'g> {
         let space =
             crate::space::build_loop_space_ex(self.graph, plan, op, self.cfg.loop_levels >= 2);
         let start = self.measurer.used;
-        self.measurer.ctx.op = op_label(self.graph, op);
+        let op_tag = op_label(self.graph, op);
         // Attribute the incumbent baseline (measured before the round
         // counter advances below) to this op's own round count — not to
         // whatever round another op left behind, and, on a resumed run,
-        // not to zero: `state.rounds` is checkpointed, `ctx.round` is not.
-        self.measurer.ctx.round = self.loop_state.get(&op).map_or(0, |st| st.rounds);
+        // not to zero: `state.rounds` is checkpointed.
+        let mut round = self.loop_state.get(&op).map_or(0, |st| st.rounds);
         let mut best = self
             .best_points
             .get(&op)
@@ -1343,8 +1270,6 @@ impl<'g> Tuner<'g> {
             .map(|(p, l)| (l, p))
             .unwrap_or((f64::INFINITY, vec![]));
         if best.0.is_infinite() {
-            self.measurer.ctx.candidate = "incumbent".to_string();
-            self.measurer.ctx.predicted_cost = None;
             // The incumbent schedule may predate a layout change, in which
             // case its tilings no longer match the physical dims; reset it
             // before measuring the baseline.
@@ -1359,12 +1284,18 @@ impl<'g> Tuner<'g> {
             let roots = self.neighborhood(op);
             // On total failure the incumbent stays at infinity; any healthy
             // candidate below will replace it.
-            let used_before = self.measurer.used;
-            let lat = {
-                let _timing = self.cfg.timing.phase("measure");
-                self.measure_with_retry(plan, sched, &roots, budget_cap)
+            let incumbent = Candidate {
+                op: &op_tag,
+                stage: self.stage,
+                round,
+                provenance: provenance::INCUMBENT,
+                point: &[],
+                predicted: None,
             };
-            self.journal_attempted(provenance::INCUMBENT, &[], None, lat, used_before);
+            let lat = {
+                let _timing = self.obs.timing().phase("measure");
+                self.measure_candidate(plan, sched, &roots, budget_cap, incumbent)
+            };
             if let Some(lat) = lat {
                 best.0 = lat;
             }
@@ -1378,11 +1309,11 @@ impl<'g> Tuner<'g> {
             {
                 let state = self.loop_state.entry(op).or_insert_with(LoopTuneState::new);
                 state.rounds += 1;
-                self.measurer.ctx.round = state.rounds;
+                round = state.rounds;
             }
             // Candidate batch: random exploration plus walks around the
             // incumbent.
-            let timing_gen = self.cfg.timing.phase("candidate_gen");
+            let timing_gen = self.obs.timing().phase("candidate_gen");
             let mut candidates: Vec<(Point, &'static str)> = Vec::with_capacity(self.cfg.batch);
             for b in 0..self.cfg.batch {
                 if best.1.is_empty() || b % 3 == 0 {
@@ -1394,10 +1325,15 @@ impl<'g> Tuner<'g> {
             // Drop quarantined candidates *after* generation so the RNG
             // draw count — and thus every later draw — is unchanged by
             // the filter (zero-fault runs stay bit-identical).
-            let op_tag = self.measurer.ctx.op.clone();
             candidates.retain(|(p, origin)| {
                 if self.quarantine.contains(&format!("{op_tag}:{p:?}")) {
-                    self.journal_dropped(origin, p, outcome::QUARANTINED, None);
+                    self.observe_dropped(
+                        &op_tag,
+                        round,
+                        origin,
+                        p,
+                        Fate::Dropped(outcome::QUARANTINED),
+                    );
                     false
                 } else {
                     true
@@ -1413,7 +1349,13 @@ impl<'g> Tuner<'g> {
             if !model_trained {
                 let keep = self.cfg.topk.max(1).min(candidates.len());
                 for (p, origin) in candidates.split_off(keep) {
-                    self.journal_dropped(origin, &p, outcome::SKIPPED, None);
+                    self.observe_dropped(
+                        &op_tag,
+                        round,
+                        origin,
+                        &p,
+                        Fate::Dropped(outcome::SKIPPED),
+                    );
                 }
             }
             drop(timing_gen);
@@ -1439,7 +1381,7 @@ impl<'g> Tuner<'g> {
                 (OpSchedule, Vec<f32>, alt_verify::VerifyStats),
                 (Option<alt_verify::Diagnostic>, alt_verify::VerifyStats),
             >;
-            let timing_lower = self.cfg.timing.phase("lower");
+            let timing_lower = self.obs.timing().phase("lower");
             let lowered: Vec<LoweredCandidate> = {
                 let graph = self.graph;
                 let sched_ref: &GraphSchedule = sched;
@@ -1448,7 +1390,7 @@ impl<'g> Tuner<'g> {
                 // Workers report per-candidate lowering latency into the
                 // timing registry (thread-safe histograms), never the
                 // phase tree — the tree stays on the accounting thread.
-                let timing = self.cfg.timing.clone();
+                let timing = self.obs.timing().clone();
                 ordered_map(&candidates, jobs, |_, (p, _)| {
                     let s = decode_loop_point(graph, plan, op, &space, p);
                     let mut trial_sched = sched_ref.clone();
@@ -1477,7 +1419,7 @@ impl<'g> Tuner<'g> {
             drop(timing_lower);
             // Rank by the cost model (higher prediction = faster); the
             // GBT prediction itself stays on the tuning thread.
-            let timing_score = self.cfg.timing.phase("gbt_score");
+            let timing_score = self.obs.timing().phase("gbt_score");
             let mut scored: Vec<(f64, Point, &'static str, OpSchedule, Vec<f32>)> = Vec::new();
             for ((p, origin), lf) in candidates.into_iter().zip(lowered) {
                 let (s, feats) = match lf {
@@ -1486,30 +1428,19 @@ impl<'g> Tuner<'g> {
                         (s, feats)
                     }
                     Err((None, _)) => {
-                        self.journal_dropped(origin, &p, outcome::LOWER_FAILED, None);
+                        self.observe_dropped(
+                            &op_tag,
+                            round,
+                            origin,
+                            &p,
+                            Fate::Dropped(outcome::LOWER_FAILED),
+                        );
                         continue;
                     }
                     Err((Some(d), vs)) => {
                         self.add_verify_stats(&vs);
                         self.registry.add("verify.rejected", 1.0);
-                        if self.cfg.telemetry.is_enabled() {
-                            self.cfg.telemetry.emit(Record::VerifyRejection(
-                                VerifyRejectionRecord {
-                                    op: self.measurer.ctx.op.clone(),
-                                    stage: self.measurer.ctx.stage,
-                                    round: self.measurer.ctx.round,
-                                    candidate: format!("{p:?}"),
-                                    code: d.code.to_string(),
-                                    detail: format!("{}: {}", d.group, d.detail),
-                                },
-                            ));
-                        }
-                        self.journal_dropped(
-                            origin,
-                            &p,
-                            outcome::VERIFY_REJECTED,
-                            Some(d.code.to_string()),
-                        );
+                        self.observe_dropped(&op_tag, round, origin, &p, Fate::VerifyRejected(&d));
                         continue;
                     }
                 };
@@ -1533,7 +1464,13 @@ impl<'g> Tuner<'g> {
                 .min(budget_cap.saturating_sub(self.measurer.used - start) as usize);
             if k == 0 {
                 for (_, p, origin, _, _) in &scored {
-                    self.journal_dropped(origin, p, outcome::SKIPPED, None);
+                    self.observe_dropped(
+                        &op_tag,
+                        round,
+                        origin,
+                        p,
+                        Fate::Dropped(outcome::SKIPPED),
+                    );
                 }
                 break;
             }
@@ -1548,7 +1485,7 @@ impl<'g> Tuner<'g> {
             // single-core machine), where inline prewarming would only
             // duplicate the lowering work.
             if jobs > 1 {
-                let _timing = self.cfg.timing.phase("prewarm");
+                let _timing = self.obs.timing().phase("prewarm");
                 let graph = self.graph;
                 let sim = self.measurer.simulator();
                 let cache = self.measurer.sim_cache();
@@ -1567,26 +1504,35 @@ impl<'g> Tuner<'g> {
             // journal them so every generated candidate has exactly one
             // terminal record.
             for (_, p, origin, _, _) in scored.split_off(k) {
-                self.journal_dropped(origin, &p, outcome::SKIPPED, None);
+                self.observe_dropped(&op_tag, round, origin, &p, Fate::Dropped(outcome::SKIPPED));
             }
-            let timing_measure = self.cfg.timing.phase("measure");
+            let timing_measure = self.obs.timing().phase("measure");
             for (score, p, origin, s, feats) in scored {
                 let cap = budget_cap.saturating_sub(self.measurer.used - start);
                 if cap == 0 {
                     // The cap cannot recover within a round, so every
                     // remaining selected candidate is journaled as
                     // skipped (`continue`, not `break`).
-                    self.journal_dropped(origin, &p, outcome::SKIPPED, None);
+                    self.observe_dropped(
+                        &op_tag,
+                        round,
+                        origin,
+                        &p,
+                        Fate::Dropped(outcome::SKIPPED),
+                    );
                     continue;
                 }
                 let mut trial_sched = sched.clone();
                 trial_sched.set(op, s.clone());
-                self.measurer.ctx.candidate = format!("{p:?}");
-                self.measurer.ctx.predicted_cost = if model_trained { Some(score) } else { None };
-                let predicted = if model_trained { Some(score) } else { None };
-                let used_before = self.measurer.used;
-                let outcome_lat = self.measure_with_retry(plan, &trial_sched, &roots, cap);
-                self.journal_attempted(origin, &p, predicted, outcome_lat, used_before);
+                let cand = Candidate {
+                    op: &op_tag,
+                    stage: self.stage,
+                    round,
+                    provenance: origin,
+                    point: &p,
+                    predicted: model_trained.then_some(score),
+                };
+                let outcome_lat = self.measure_candidate(plan, &trial_sched, &roots, cap, cand);
                 let Some(lat) = outcome_lat else {
                     continue;
                 };
@@ -1603,13 +1549,12 @@ impl<'g> Tuner<'g> {
                 }
             }
             drop(timing_measure);
-            self.measurer.ctx.predicted_cost = None;
             let state = self.loop_state.get_mut(&op).expect("state exists");
-            if self.cfg.telemetry.is_enabled() && measured.len() >= 2 {
+            if self.obs.trace().is_enabled() && measured.len() >= 2 {
                 let (pred, qual): (Vec<f64>, Vec<f64>) = measured.into_iter().unzip();
-                self.cfg.telemetry.emit(Record::CostModel(CostModelRecord {
-                    op: self.measurer.ctx.op.clone(),
-                    stage: self.measurer.ctx.stage,
+                self.obs.trace().emit(Record::CostModel(CostModelRecord {
+                    op: op_tag.clone(),
+                    stage: self.stage,
                     round: state.rounds,
                     measured: pred.len() as u64,
                     spearman: alt_telemetry::spearman(&pred, &qual),
@@ -1847,40 +1792,14 @@ pub fn apply_fixed_layout(
         if out_shape.ndim() < 3 {
             continue;
         }
-        let layout = match fixed {
-            FixedLayout::Identity => None,
-            FixedLayout::ChannelsLast => presets::channels_last(out_shape).ok(),
-            FixedLayout::ChannelTiled(t) => {
-                let c = out_shape.dim(1);
-                let t = largest_divisor_at_most(c, t);
-                if t > 1 {
-                    presets::channel_tiled(out_shape, t).ok()
-                } else {
-                    None
-                }
-            }
-        };
-        if let Some(l) = layout {
+        if let Some(l) = family_layout(fixed, out_shape) {
             plan.set_layout(node.output, l);
         }
     }
     for op in graph.complex_ops() {
         let node = graph.node(op);
         let out_shape = graph.tensor(node.output).shape.clone();
-        let out_layout: Option<Layout> = match fixed {
-            FixedLayout::Identity => None,
-            FixedLayout::ChannelsLast => presets::channels_last(out_shape).ok(),
-            FixedLayout::ChannelTiled(t) => {
-                let c = graph.tensor(node.output).shape.dim(1);
-                let t = largest_divisor_at_most(c, t);
-                if t > 1 {
-                    presets::channel_tiled(out_shape, t).ok()
-                } else {
-                    None
-                }
-            }
-        };
-        if let Some(l) = out_layout {
+        if let Some(l) = family_layout(fixed, out_shape) {
             plan.assign_output_layout(graph, op, l);
         }
         // Input activations follow the same family where it applies.
@@ -1893,21 +1812,7 @@ pub fn apply_fixed_layout(
                 | OpTag::Complex(alt_tensor::ComplexKind::TransposedConv3d)
         ) {
             let x = node.inputs[0];
-            let in_shape = graph.tensor(x).shape.clone();
-            let in_layout = match fixed {
-                FixedLayout::Identity => None,
-                FixedLayout::ChannelsLast => presets::channels_last(in_shape).ok(),
-                FixedLayout::ChannelTiled(t) => {
-                    let c = graph.tensor(x).shape.dim(1);
-                    let t = largest_divisor_at_most(c, t);
-                    if t > 1 {
-                        presets::channel_tiled(in_shape, t).ok()
-                    } else {
-                        None
-                    }
-                }
-            };
-            if let Some(l) = in_layout {
+            if let Some(l) = family_layout(fixed, graph.tensor(x).shape.clone()) {
                 let info = graph.tensor(x);
                 if free_inputs && info.producer.is_none() {
                     plan.set_layout(x, l);
@@ -1943,6 +1848,23 @@ pub fn apply_fixed_layout(
     }
 }
 
+/// The activation layout of a fixed layout family for `shape`
+/// (channels-tiled families tile the channel axis, dimension 1).
+fn family_layout(fixed: FixedLayout, shape: alt_tensor::Shape) -> Option<Layout> {
+    match fixed {
+        FixedLayout::Identity => None,
+        FixedLayout::ChannelsLast => presets::channels_last(shape).ok(),
+        FixedLayout::ChannelTiled(t) => {
+            let t = largest_divisor_at_most(shape.dim(1), t);
+            if t > 1 {
+                presets::channel_tiled(shape, t).ok()
+            } else {
+                None
+            }
+        }
+    }
+}
+
 /// Largest divisor of `n` that is `<= cap`.
 pub fn largest_divisor_at_most(n: i64, cap: i64) -> i64 {
     crate::space::divisors(n)
@@ -1955,6 +1877,7 @@ pub fn largest_divisor_at_most(n: i64, cap: i64) -> i64 {
 mod tests {
     use super::*;
     use alt_sim::intel_cpu;
+    use alt_telemetry::{Telemetry, Timing};
     use alt_tensor::ops::{self, ConvCfg};
     use alt_tensor::Shape;
 
@@ -2037,7 +1960,7 @@ mod tests {
     #[test]
     fn trace_has_one_measurement_record_per_budget_unit() {
         let g = small_conv_graph();
-        let (telemetry, sink) = Telemetry::memory();
+        let (trace, sink) = Telemetry::memory();
         let cfg = TuneConfig {
             joint_budget: 20,
             loop_budget: 30,
@@ -2045,7 +1968,10 @@ mod tests {
             topk: 4,
             free_input_layouts: true,
             seed: 5,
-            telemetry,
+            observer: Observer {
+                trace,
+                ..Observer::default()
+            },
             ..TuneConfig::default()
         };
         let result = tune_graph(&g, intel_cpu(), cfg);
@@ -2157,7 +2083,7 @@ mod tests {
     #[test]
     fn faulted_run_completes_with_exact_accounting() {
         let g = small_conv_graph();
-        let (telemetry, sink) = Telemetry::memory();
+        let (trace, sink) = Telemetry::memory();
         let cfg = TuneConfig {
             joint_budget: 20,
             loop_budget: 30,
@@ -2165,7 +2091,10 @@ mod tests {
             topk: 4,
             free_input_layouts: true,
             seed: 9,
-            telemetry,
+            observer: Observer {
+                trace,
+                ..Observer::default()
+            },
             faults: Some(FaultConfig::uniform(0.2)),
             ..TuneConfig::default()
         };
@@ -2353,16 +2282,19 @@ mod tests {
     #[test]
     fn timing_and_progress_do_not_change_the_run() {
         let g = small_conv_graph();
-        let cfg = |timing: Timing, progress: bool, telemetry: Telemetry| TuneConfig {
+        let cfg = |timing: Timing, progress: bool, trace: Telemetry| TuneConfig {
             joint_budget: 12,
             loop_budget: 18,
             batch: 8,
             topk: 2,
             free_input_layouts: true,
             seed: 9,
-            telemetry,
-            timing,
-            progress,
+            observer: Observer {
+                trace,
+                timing,
+                progress,
+                ..Observer::default()
+            },
             ..TuneConfig::default()
         };
         let (t_plain, sink_plain) = Telemetry::memory();
@@ -2404,7 +2336,10 @@ mod tests {
             topk: 2,
             free_input_layouts: true,
             seed: 9,
-            timing: timing.clone(),
+            observer: Observer {
+                timing: timing.clone(),
+                ..Observer::default()
+            },
             ..TuneConfig::default()
         };
         let result = tune_graph(&g, intel_cpu(), cfg);

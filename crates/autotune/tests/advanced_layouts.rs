@@ -37,7 +37,10 @@ fn tuned(advanced: bool, seed: u64) -> (TuneResult, Arc<MemoryJournal>) {
         layout_search: LayoutSearch::Random,
         free_input_layouts: true,
         seed,
-        journal,
+        observer: alt_autotune::Observer {
+            journal,
+            ..Default::default()
+        },
         ..TuneConfig::default()
     };
     (tune_graph(&conv_graph(), intel_cpu(), cfg), sink)

@@ -38,7 +38,10 @@ fn journaled_run(seed: u64, fault_rate: f64) -> (TuneResult, Arc<MemoryJournal>)
         topk: 2,
         free_input_layouts: true,
         seed,
-        journal,
+        observer: alt_autotune::Observer {
+            journal,
+            ..Default::default()
+        },
         faults: (fault_rate > 0.0).then(|| FaultConfig::uniform(fault_rate)),
         ..TuneConfig::default()
     };
@@ -217,4 +220,173 @@ fn every_record_survives_the_wire() {
     let text = sink.lines().join("\n");
     let reparsed = alt_journal::parse_journal(&text).expect("journal parses");
     assert_eq!(reparsed, sink.records());
+}
+
+/// Legal candidates are never rejected, so verifier rejections on a real
+/// run need an operator the verifier must refuse: `conv_graph` plus a
+/// GMM whose body reads its weight one row past the end. Every lowered
+/// loop candidate of that GMM reads out of bounds.
+fn rejecting_graph() -> Graph {
+    use alt_tensor::{Axis, ComplexKind, Compute, Expr, OpTag, ReduceKind, ScalarExpr};
+    let mut g = conv_graph();
+    let a = g.add_input("a", Shape::new([16, 24]));
+    let w = g.add_param("w_oob", Shape::new([24, 16]));
+    let (m, n, k) = (
+        g.vargen.fresh("m"),
+        g.vargen.fresh("n"),
+        g.vargen.fresh("k"),
+    );
+    let past_end = Expr::v(&k).add(&Expr::c(1));
+    let body = ScalarExpr::load(0, vec![Expr::v(&m), Expr::v(&k)])
+        .mul(ScalarExpr::load(1, vec![past_end, Expr::v(&n)]));
+    let compute = Compute {
+        name: "gmm_oob".into(),
+        axes: vec![Axis::new(m, 16), Axis::new(n, 16)],
+        reduce_axes: vec![Axis::new(k, 24)],
+        reduce: ReduceKind::Sum,
+        init: 0.0,
+        body,
+        post_scale: 1.0,
+    };
+    g.add_op(compute, vec![a, w], OpTag::Complex(ComplexKind::Gmm));
+    g
+}
+
+/// One faulted, verified run of `graph` with a trace and a journal both
+/// attached. Both streams are projections of one candidate event, so
+/// they must tell the same story record for record. Returns the number
+/// of verifier rejections and layout commits the pairing covered.
+fn check_streams_agree(graph: &Graph, seed: u64) -> (usize, usize) {
+    use alt_telemetry::{Record, Stage, Telemetry};
+    let (trace, trace_sink) = Telemetry::memory();
+    let (journal, journal_sink) = alt_journal::Journal::memory();
+    let cfg = TuneConfig {
+        joint_budget: JOINT_BUDGET,
+        loop_budget: LOOP_BUDGET,
+        batch: 8,
+        topk: 2,
+        free_input_layouts: true,
+        seed,
+        verify: true,
+        faults: Some(FaultConfig::uniform(0.2)),
+        observer: alt_autotune::Observer {
+            trace,
+            journal,
+            ..Default::default()
+        },
+        ..TuneConfig::default()
+    };
+    let result = tune_graph(graph, intel_cpu(), cfg);
+    let trace = trace_sink.records();
+    let journal = journal_sink.records();
+
+    // Per-unit trace records, in budget order: seq runs 1..=budget.
+    let units: Vec<&Record> = trace
+        .iter()
+        .filter(|r| matches!(r, Record::Measurement(_) | Record::MeasurementFailure(_)))
+        .collect();
+    let seqs: Vec<u64> = units
+        .iter()
+        .map(|r| match r {
+            Record::Measurement(m) => m.seq,
+            Record::MeasurementFailure(f) => f.seq,
+            _ => unreachable!(),
+        })
+        .collect();
+    assert_eq!(seqs, (1..=result.measurements).collect::<Vec<u64>>());
+
+    // Each journal candidate with `attempts = n` owns the next n
+    // unit records, which name the same op, stage, round and
+    // candidate; its outcome is the last one's.
+    let mut next = 0usize;
+    let mut rejected = Vec::new();
+    let mut commits = Vec::new();
+    for r in &journal {
+        let c = match r {
+            JournalRecord::Candidate(c) => c,
+            JournalRecord::LayoutCommit(l) => {
+                commits.push((l.op.clone(), format!("{:?}", l.point)));
+                continue;
+            }
+            _ => continue,
+        };
+        let label = if c.provenance == alt_journal::provenance::INCUMBENT {
+            "incumbent".to_string()
+        } else {
+            format!("{:?}", c.point)
+        };
+        if c.outcome == outcome::VERIFY_REJECTED {
+            let point = format!("{:?}", c.point);
+            rejected.push((c.op.clone(), c.round, point, c.vcode.clone()));
+        }
+        let owned = &units[next..next + c.attempts as usize];
+        next += c.attempts as usize;
+        for (i, u) in owned.iter().enumerate() {
+            let (op, stage, round, candidate) = match u {
+                Record::Measurement(m) => (&m.op, m.stage, m.round, &m.candidate),
+                Record::MeasurementFailure(f) => {
+                    assert_eq!(f.attempt, i as u64 + 1, "attempt index");
+                    (&f.op, f.stage, f.round, &f.candidate)
+                }
+                _ => unreachable!(),
+            };
+            let stage = match stage {
+                Stage::Joint => "joint",
+                Stage::Loop => "loop",
+            };
+            assert_eq!(
+                (op, stage, round, candidate),
+                (&c.op, c.stage.as_str(), c.round, &label)
+            );
+        }
+        match owned.last() {
+            Some(Record::Measurement(m)) => {
+                assert_eq!(c.latency_s, Some(m.latency_s));
+                assert!(c.outcome == outcome::MEASURED || c.outcome == outcome::CACHE_HIT);
+            }
+            Some(_) => assert_eq!(c.outcome, outcome::FAILED),
+            None => assert_eq!(c.attempts, 0),
+        }
+    }
+    assert_eq!(
+        next,
+        units.len(),
+        "every unit record belongs to a candidate"
+    );
+
+    // Verifier rejections and layout commits pair one to one.
+    let rejections: Vec<_> = trace
+        .iter()
+        .filter_map(|r| match r {
+            Record::VerifyRejection(v) => Some((
+                v.op.clone(),
+                v.round,
+                v.candidate.clone(),
+                Some(v.code.clone()),
+            )),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(rejections, rejected);
+    let committed: Vec<_> = trace
+        .iter()
+        .filter_map(|r| match r {
+            Record::Event(e) if e.name == "layout_committed" => {
+                Some((e.fields[0].1.clone(), e.fields[1].1.clone()))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(committed, commits);
+    (rejected.len(), commits.len())
+}
+
+#[test]
+fn trace_and_journal_agree_record_for_record() {
+    for seed in [3, 7, 19] {
+        let (_, commits) = check_streams_agree(&conv_graph(), seed);
+        assert!(commits > 0, "the joint stage committed a layout");
+    }
+    let (rejections, _) = check_streams_agree(&rejecting_graph(), 3);
+    assert!(rejections > 0, "the verifier rejected a candidate");
 }

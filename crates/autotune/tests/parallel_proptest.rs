@@ -41,8 +41,11 @@ fn traced(seed: u64, rate: f64, jobs: usize, ck: &str) -> (TuneResult, Vec<Recor
         free_input_layouts: true,
         seed,
         jobs,
-        telemetry: Telemetry::new(sink.clone()),
-        journal,
+        observer: alt_autotune::Observer {
+            trace: Telemetry::new(sink.clone()),
+            journal,
+            ..Default::default()
+        },
         faults: (rate > 0.0).then(|| FaultConfig::uniform(rate)),
         checkpoint_path: Some(ck.to_string()),
         checkpoint_every: 8,

@@ -59,11 +59,13 @@ fn run(
         free_input_layouts: true,
         seed,
         jobs,
-        telemetry: Telemetry::new(sink.clone()),
-        journal,
         store,
-        timing,
-        progress,
+        observer: alt_autotune::Observer {
+            trace: Telemetry::new(sink.clone()),
+            journal,
+            timing,
+            progress,
+        },
         ..TuneConfig::default()
     };
     let result = tune_graph(&conv_graph(), intel_cpu(), cfg);

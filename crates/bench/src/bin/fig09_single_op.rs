@@ -32,9 +32,8 @@ fn alt_tune(
     profile: MachineProfile,
     budget: u64,
     seed: u64,
-    journal: alt_journal::Journal,
+    observer: alt_autotune::Observer,
     store: Option<std::sync::Arc<alt_store::Store>>,
-    timing: alt_telemetry::Timing,
 ) -> TuneResult {
     // Paper split: 300/700 of 1000 => 30%/70%.
     let joint = (budget as f64 * 0.3) as u64;
@@ -44,10 +43,8 @@ fn alt_tune(
         free_input_layouts: true,
         seed,
         jobs: alt_bench::jobs(),
-        journal,
         store,
-        timing,
-        progress: alt_bench::progress_from_env(),
+        observer,
         ..TuneConfig::default()
     };
     tune_graph(graph, profile, cfg)
@@ -103,9 +100,10 @@ fn main() {
             usize,
         )> = None;
         let native_cap = alt_bench::native_bench_cap();
-        // Per-platform wall-clock self-profile (ALT_TIMING): every ALT
-        // tuning run on this platform folds into one phase tree.
-        let timing = alt_bench::timing_from_env();
+        // Per-platform observer (ALT_TIMING, ALT_PROGRESS): every ALT
+        // tuning run on this platform folds into one timing phase tree,
+        // and each run gets its own in-memory journal.
+        let observer = alt_bench::observer_from_env();
         for (case_idx, case) in cases.iter().enumerate() {
             let g = &case.graph;
             let mut lats: HashMap<String, f64> = HashMap::new();
@@ -130,9 +128,11 @@ fn main() {
                 profile,
                 budget,
                 1,
-                journal,
+                alt_autotune::Observer {
+                    journal,
+                    ..observer.clone()
+                },
                 store.clone(),
-                timing.clone(),
             );
             alt_wall += t0.elapsed().as_secs_f64();
             jstats.note_run(&jsink, budget);
@@ -272,7 +272,7 @@ fn main() {
             &mut report,
             "fig09",
             profile.name,
-            &timing,
+            &observer.timing,
             &[
                 ("budget", serde_json::json!(budget)),
                 ("cases", serde_json::json!(cases.len() as u64)),

@@ -30,9 +30,8 @@ fn alt_full_e2e(
     profile: MachineProfile,
     budget: u64,
     seed: u64,
-    journal: alt_journal::Journal,
+    observer: alt_autotune::Observer,
     store: Option<std::sync::Arc<alt_store::Store>>,
-    timing: alt_telemetry::Timing,
 ) -> alt_autotune::tuner::TuneResult {
     // Paper split: 8000/12000 of 20000 => 40%/60%.
     let joint = (budget as f64 * 0.4) as u64;
@@ -43,10 +42,8 @@ fn alt_full_e2e(
         free_input_layouts: false,
         seed,
         jobs: alt_bench::jobs(),
-        journal,
         store,
-        timing,
-        progress: alt_bench::progress_from_env(),
+        observer,
         ..TuneConfig::default()
     };
     tune_graph(graph, profile, cfg)
@@ -119,9 +116,10 @@ fn main() {
         let (mut store_hits, mut store_misses) = (0u64, 0u64);
         let mut warm_starts = 0u64;
         let mut jstats = alt_bench::JournalStats::new();
-        // Per-platform wall-clock self-profile (ALT_TIMING): every ALT
-        // tuning run on this platform folds into one phase tree.
-        let timing = alt_bench::timing_from_env();
+        // Per-platform observer (ALT_TIMING, ALT_PROGRESS): every ALT
+        // tuning run on this platform folds into one timing phase tree,
+        // and each run gets its own in-memory journal.
+        let observer = alt_bench::observer_from_env();
         for (name, g) in workloads(&profile) {
             let mut lats: HashMap<String, f64> = HashMap::new();
             // Vendor graph compiler: ARM Torch runs eager (no fusion).
@@ -141,9 +139,11 @@ fn main() {
                 profile,
                 budget,
                 1,
-                journal,
+                alt_autotune::Observer {
+                    journal,
+                    ..observer.clone()
+                },
                 store.clone(),
-                timing.clone(),
             );
             alt_wall += t0.elapsed().as_secs_f64();
             jstats.note_run(&jsink, budget);
@@ -281,7 +281,7 @@ fn main() {
             &mut report,
             "fig10",
             profile.name,
-            &timing,
+            &observer.timing,
             &[
                 ("budget", serde_json::json!(budget)),
                 ("networks", serde_json::json!(names.len() as u64)),

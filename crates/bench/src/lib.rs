@@ -208,24 +208,23 @@ pub fn store_from_env() -> Option<std::sync::Arc<alt_store::Store>> {
     }
 }
 
-/// Reads the wall-clock self-profiling switch from `ALT_TIMING`
-/// (default off). Each call returns a *fresh* handle, so the figure
-/// harnesses take one per platform and get per-platform phase
-/// attribution. Timing is observation-only: any setting yields
-/// bit-identical tuning results.
-pub fn timing_from_env() -> alt_telemetry::Timing {
-    match std::env::var("ALT_TIMING") {
-        Ok(v) if !v.is_empty() && v != "0" => alt_telemetry::Timing::enabled(),
-        _ => alt_telemetry::Timing::disabled(),
+/// The figure harnesses' tuning observer, from the environment:
+/// wall-clock self-profiling with `ALT_TIMING`, the live stderr
+/// heartbeat with `ALT_PROGRESS` (both default off). Each call returns
+/// a *fresh* timing handle, so the harnesses take one per platform and
+/// get per-platform phase attribution. Observation never changes a
+/// run: any setting yields bit-identical tuning results.
+pub fn observer_from_env() -> alt_autotune::Observer {
+    let on = |var: &str| std::env::var(var).is_ok_and(|v| !v.is_empty() && v != "0");
+    alt_autotune::Observer {
+        timing: if on("ALT_TIMING") {
+            alt_telemetry::Timing::enabled()
+        } else {
+            alt_telemetry::Timing::disabled()
+        },
+        progress: on("ALT_PROGRESS"),
+        ..alt_autotune::Observer::default()
     }
-}
-
-/// Reads the live stderr progress-heartbeat switch from `ALT_PROGRESS`
-/// (default off). Like timing, the heartbeat never changes a run.
-pub fn progress_from_env() -> bool {
-    std::env::var("ALT_PROGRESS")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false)
 }
 
 /// FNV-1a over a canonical description string — the same fingerprint

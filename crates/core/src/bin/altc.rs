@@ -36,12 +36,90 @@ use alt_models::{bert_base, bert_tiny, mobilenet_v2, resnet18, resnet3d_18};
 use alt_sim::{arm_cpu, intel_cpu, nvidia_gpu, MachineProfile};
 use alt_tensor::Graph;
 
-struct Args {
+/// The flags every compiling subcommand shares, parsed in one place.
+struct Common {
     model: String,
     platform: String,
     budget: u64,
     batch: i64,
     seed: u64,
+}
+
+/// ResNet-18 on the Intel profile, batch 1, seed 0, no tuning budget.
+impl Default for Common {
+    fn default() -> Self {
+        Self {
+            model: "r18".into(),
+            platform: "intel".into(),
+            budget: 0,
+            batch: 1,
+            seed: 0,
+        }
+    }
+}
+
+impl Common {
+    /// The defaults with a subcommand's own default `budget`.
+    fn with_budget(budget: u64) -> Self {
+        Self {
+            budget,
+            ..Self::default()
+        }
+    }
+
+    /// Consumes `flag` (and its value) when it is a shared flag;
+    /// `Ok(false)` leaves it to the subcommand.
+    fn parse(&mut self, flag: &str, it: &mut impl Iterator<Item = String>) -> Result<bool, String> {
+        match flag {
+            "--model" | "-m" => self.model = value("--model", it)?,
+            "--platform" | "-p" => self.platform = value("--platform", it)?,
+            "--budget" | "-b" => self.budget = number("--budget", it)?,
+            "--batch" => self.batch = number("--batch", it)?,
+            "--seed" => self.seed = number("--seed", it)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The model graph and machine profile the flags name.
+    fn resolve(&self) -> Result<(Graph, MachineProfile), String> {
+        Ok((
+            build_model(&self.model, self.batch)?,
+            build_platform(&self.platform)?,
+        ))
+    }
+
+    /// Compile options with the paper's 40/60 joint/loop budget split.
+    fn options(&self) -> CompileOptions {
+        let joint = (self.budget as f64 * 0.4) as u64;
+        CompileOptions {
+            joint_budget: joint,
+            loop_budget: self.budget - joint,
+            seed: self.seed,
+            ..CompileOptions::default()
+        }
+    }
+}
+
+/// The value after `flag`.
+fn value(flag: &str, it: &mut impl Iterator<Item = String>) -> Result<String, String> {
+    it.next().ok_or_else(|| format!("{flag} requires a value"))
+}
+
+/// The value after `flag`, parsed; a bad one reads `<flag>: <reason>`.
+fn number<T: std::str::FromStr>(
+    flag: &str,
+    it: &mut impl Iterator<Item = String>,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value(flag, it)?.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+#[derive(Default)]
+struct Args {
+    common: Common,
     json: bool,
     dot: bool,
     trace: Option<String>,
@@ -59,82 +137,42 @@ struct Args {
     progress: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
-        model: "r18".into(),
-        platform: "intel".into(),
-        budget: 300,
-        batch: 1,
-        seed: 0,
-        json: false,
-        dot: false,
-        trace: None,
-        journal: None,
-        faults: 0.0,
-        checkpoint: None,
-        checkpoint_every: 0,
-        resume: None,
+        common: Common::with_budget(300),
         jobs: 1,
-        no_verify: false,
-        advanced_layouts: false,
-        store: None,
-        timing: None,
-        manifest: None,
-        progress: false,
+        ..Args::default()
     };
-    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
+        if args.common.parse(&a, &mut it)? {
+            continue;
+        }
+        let it = &mut it;
         match a.as_str() {
-            "--model" | "-m" => args.model = value("--model")?,
-            "--platform" | "-p" => args.platform = value("--platform")?,
-            "--budget" | "-b" => {
-                args.budget = value("--budget")?
-                    .parse()
-                    .map_err(|e| format!("--budget: {e}"))?
-            }
-            "--batch" => {
-                args.batch = value("--batch")?
-                    .parse()
-                    .map_err(|e| format!("--batch: {e}"))?
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
             "--json" => args.json = true,
             "--dot" => args.dot = true,
-            "--trace" => args.trace = Some(value("--trace")?),
-            "--journal" => args.journal = Some(value("--journal")?),
+            "--trace" => args.trace = Some(value("--trace", it)?),
+            "--journal" => args.journal = Some(value("--journal", it)?),
             "--faults" => {
-                args.faults = value("--faults")?
-                    .parse()
-                    .map_err(|e| format!("--faults: {e}"))?;
+                args.faults = number("--faults", it)?;
                 if !(0.0..1.0).contains(&args.faults) {
                     return Err("--faults must be in [0, 1)".into());
                 }
             }
-            "--checkpoint" => args.checkpoint = Some(value("--checkpoint")?),
-            "--checkpoint-every" => {
-                args.checkpoint_every = value("--checkpoint-every")?
-                    .parse()
-                    .map_err(|e| format!("--checkpoint-every: {e}"))?
-            }
-            "--resume" => args.resume = Some(value("--resume")?),
+            "--checkpoint" => args.checkpoint = Some(value("--checkpoint", it)?),
+            "--checkpoint-every" => args.checkpoint_every = number("--checkpoint-every", it)?,
+            "--resume" => args.resume = Some(value("--resume", it)?),
             "--jobs" | "-j" => {
-                args.jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
+                args.jobs = number("--jobs", it)?;
                 if args.jobs == 0 {
                     return Err("--jobs must be at least 1".into());
                 }
             }
             "--no-verify" => args.no_verify = true,
             "--advanced-layouts" => args.advanced_layouts = true,
-            "--store" => args.store = Some(value("--store")?),
-            "--timing" => args.timing = Some(value("--timing")?),
-            "--manifest" => args.manifest = Some(value("--manifest")?),
+            "--store" => args.store = Some(value("--store", it)?),
+            "--timing" => args.timing = Some(value("--timing", it)?),
+            "--manifest" => args.manifest = Some(value("--manifest", it)?),
             "--progress" => args.progress = true,
             "--help" | "-h" => {
                 print_help();
@@ -241,117 +279,88 @@ SUBCOMMANDS:
     );
 }
 
+/// `altc run` flags.
+#[derive(Default)]
+struct RunArgs {
+    common: Common,
+    native: bool,
+    check: bool,
+    check_cap: Option<u64>,
+    threads: usize,
+    json: bool,
+}
+
+fn parse_run(mut it: impl Iterator<Item = String>) -> Result<RunArgs, String> {
+    let mut args = RunArgs::default();
+    while let Some(a) = it.next() {
+        if args.common.parse(&a, &mut it)? {
+            continue;
+        }
+        match a.as_str() {
+            "--native" => args.native = true,
+            "--check" => args.check = true,
+            "--check-cap" => args.check_cap = Some(number("--check-cap", &mut it)?),
+            "--threads" => args.threads = number("--threads", &mut it)?,
+            "--json" => args.json = true,
+            "--help" | "-h" => {
+                println!(
+                    "usage: altc run [--model NAME] [--platform NAME] [--budget N]\n\
+                     \x20               [--batch N] [--seed N] [--native] [--check]\n\
+                     \x20               [--check-cap ITERS] [--threads N] [--json]\n\
+                     \n\
+                     Compiles the model (tuning when --budget > 0, unoptimized\n\
+                     otherwise) and executes it on random bindings. --native runs\n\
+                     the compiled register-based kernel (stride-resolved loops,\n\
+                     chunked @vec loops with a contraction kernel, scoped-thread\n\
+                     @par), prints how many @vec loops took the chunked, contraction\n\
+                     and scalar paths, and the per-op calibration against the\n\
+                     analytic cost model; the default runs\n\
+                     the reference interpreter. --check runs both and fails unless\n\
+                     outputs are bit-identical; --check-cap truncates the program\n\
+                     to a statement-iteration budget first so large models stay\n\
+                     affordable for the interpreter side."
+                );
+                std::process::exit(0);
+            }
+            other => return Err(format!("unknown argument `{other}` (try --help)")),
+        }
+    }
+    Ok(args)
+}
+
+/// Unwraps a command-line result, or reports the error and exits 2.
+fn or_exit<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
 /// `altc run`: compile a model and execute it on real data — through the
 /// native kernel executor (`--native`), the reference interpreter, or
 /// both with a bit-exact differential check (`--check`). With `--native`
 /// also prints the per-op calibration table (native wall clock vs the
 /// analytic model's prediction).
-#[allow(clippy::too_many_lines)]
 fn run_run(rest: &[String]) -> i32 {
-    let mut model = "r18".to_string();
-    let mut platform = "intel".to_string();
-    let mut budget = 0u64;
-    let mut batch = 1i64;
-    let mut seed = 0u64;
-    let mut native = false;
-    let mut check = false;
-    let mut check_cap: Option<u64> = None;
-    let mut threads = 0usize;
-    let mut json = false;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        let res: Result<(), String> = (|| {
-            match a.as_str() {
-                "--model" | "-m" => model = value("--model")?,
-                "--platform" | "-p" => platform = value("--platform")?,
-                "--budget" | "-b" => {
-                    budget = value("--budget")?
-                        .parse()
-                        .map_err(|e| format!("--budget: {e}"))?
-                }
-                "--batch" => {
-                    batch = value("--batch")?
-                        .parse()
-                        .map_err(|e| format!("--batch: {e}"))?
-                }
-                "--seed" => {
-                    seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                "--native" => native = true,
-                "--check" => check = true,
-                "--check-cap" => {
-                    check_cap = Some(
-                        value("--check-cap")?
-                            .parse()
-                            .map_err(|e| format!("--check-cap: {e}"))?,
-                    )
-                }
-                "--threads" => {
-                    threads = value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?
-                }
-                "--json" => json = true,
-                "--help" | "-h" => {
-                    println!(
-                        "usage: altc run [--model NAME] [--platform NAME] [--budget N]\n\
-                         \x20               [--batch N] [--seed N] [--native] [--check]\n\
-                         \x20               [--check-cap ITERS] [--threads N] [--json]\n\
-                         \n\
-                         Compiles the model (tuning when --budget > 0, unoptimized\n\
-                         otherwise) and executes it on random bindings. --native runs\n\
-                         the compiled register-based kernel (stride-resolved loops,\n\
-                         chunked @vec loops with a contraction kernel, scoped-thread\n\
-                         @par), prints how many @vec loops took the chunked, contraction\n\
-                         and scalar paths, and the per-op calibration against the\n\
-                         analytic cost model; the default runs\n\
-                         the reference interpreter. --check runs both and fails unless\n\
-                         outputs are bit-identical; --check-cap truncates the program\n\
-                         to a statement-iteration budget first so large models stay\n\
-                         affordable for the interpreter side."
-                    );
-                    std::process::exit(0);
-                }
-                other => return Err(format!("unknown argument `{other}` (try --help)")),
-            }
-            Ok(())
-        })();
-        if let Err(e) = res {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    }
-
-    let graph = match build_model(&model, batch) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let machine = match build_platform(&platform) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-
-    let joint = (budget as f64 * 0.4) as u64;
-    let compiler = Compiler::new(machine).with_options(CompileOptions {
-        joint_budget: joint,
-        loop_budget: budget - joint,
+    let RunArgs {
+        common,
+        native,
+        check,
+        check_cap,
+        threads,
+        json,
+    } = or_exit(parse_run(rest.iter().cloned()));
+    let (graph, machine) = or_exit(common.resolve());
+    let Common {
+        model,
+        budget,
+        batch,
         seed,
-        ..CompileOptions::default()
-    });
-    let compiled = if budget == 0 {
+        ..
+    } = &common;
+
+    let compiler = Compiler::new(machine).with_options(common.options());
+    let compiled = if *budget == 0 {
         compiler.compile_unoptimized(&graph)
     } else {
         eprintln!(
@@ -365,7 +374,7 @@ fn run_run(rest: &[String]) -> i32 {
         Some(cap) => compiled.program().truncated(cap),
         None => compiled.program().clone(),
     };
-    let bindings = alt_tensor::exec::random_bindings(&graph, seed);
+    let bindings = alt_tensor::exec::random_bindings(&graph, *seed);
     let threads = if threads == 0 {
         alt_codegen::default_threads()
     } else {
@@ -498,96 +507,70 @@ fn run_run(rest: &[String]) -> i32 {
     i32::from(check_passed == Some(false))
 }
 
+/// `altc profile` flags.
+#[derive(Default)]
+struct ProfileArgs {
+    common: Common,
+    no_tune: bool,
+    json: bool,
+    perfetto: Option<String>,
+}
+
+fn parse_profile(mut it: impl Iterator<Item = String>) -> Result<ProfileArgs, String> {
+    let mut args = ProfileArgs {
+        common: Common::with_budget(64),
+        ..ProfileArgs::default()
+    };
+    while let Some(a) = it.next() {
+        if args.common.parse(&a, &mut it)? {
+            continue;
+        }
+        match a.as_str() {
+            "--no-tune" => args.no_tune = true,
+            "--json" => args.json = true,
+            "--perfetto" => args.perfetto = Some(value("--perfetto", &mut it)?),
+            "--help" | "-h" => {
+                println!(
+                    "usage: altc profile [--model NAME] [--platform NAME] [--budget N]\n\
+                     \x20                   [--batch N] [--seed N] [--no-tune] [--json]\n\
+                     \x20                   [--perfetto OUT.json]\n\
+                     \n\
+                     Prints the winning schedule's per-loop cost breakdown (flame-style\n\
+                     tree) and roofline summary. --no-tune profiles the unoptimized\n\
+                     baseline instead of tuning first. --perfetto also writes a\n\
+                     Chrome-trace JSON loadable in ui.perfetto.dev."
+                );
+                std::process::exit(0);
+            }
+            other => return Err(format!("unknown argument `{other}` (try --help)")),
+        }
+    }
+    Ok(args)
+}
+
 /// `altc profile`: tune (or just lower) a model, then print the per-loop
 /// cost attribution and roofline summary, optionally exporting a
 /// Chrome-trace (Perfetto) JSON of the tuning run and simulated execution.
 fn run_profile(rest: &[String]) -> i32 {
-    let mut model = "r18".to_string();
-    let mut platform = "intel".to_string();
-    let mut budget = 64u64;
-    let mut batch = 1i64;
-    let mut seed = 0u64;
-    let mut no_tune = false;
-    let mut json = false;
-    let mut perfetto: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        let res: Result<(), String> = (|| {
-            match a.as_str() {
-                "--model" | "-m" => model = value("--model")?,
-                "--platform" | "-p" => platform = value("--platform")?,
-                "--budget" | "-b" => {
-                    budget = value("--budget")?
-                        .parse()
-                        .map_err(|e| format!("--budget: {e}"))?
-                }
-                "--batch" => {
-                    batch = value("--batch")?
-                        .parse()
-                        .map_err(|e| format!("--batch: {e}"))?
-                }
-                "--seed" => {
-                    seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                "--no-tune" => no_tune = true,
-                "--json" => json = true,
-                "--perfetto" => perfetto = Some(value("--perfetto")?),
-                "--help" | "-h" => {
-                    println!(
-                        "usage: altc profile [--model NAME] [--platform NAME] [--budget N]\n\
-                         \x20                   [--batch N] [--seed N] [--no-tune] [--json]\n\
-                         \x20                   [--perfetto OUT.json]\n\
-                         \n\
-                         Prints the winning schedule's per-loop cost breakdown (flame-style\n\
-                         tree) and roofline summary. --no-tune profiles the unoptimized\n\
-                         baseline instead of tuning first. --perfetto also writes a\n\
-                         Chrome-trace JSON loadable in ui.perfetto.dev."
-                    );
-                    std::process::exit(0);
-                }
-                other => return Err(format!("unknown argument `{other}` (try --help)")),
-            }
-            Ok(())
-        })();
-        if let Err(e) = res {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    }
-
-    let graph = match build_model(&model, batch) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let machine = match build_platform(&platform) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+    let ProfileArgs {
+        common,
+        no_tune,
+        json,
+        perfetto,
+    } = or_exit(parse_profile(rest.iter().cloned()));
+    let (graph, machine) = or_exit(common.resolve());
+    let Common {
+        model,
+        budget,
+        batch,
+        ..
+    } = &common;
 
     // Capture the tuning-run records in memory so the Perfetto export can
     // interleave the tuning timeline with the simulated execution.
     let sink = std::sync::Arc::new(alt_core::MemorySink::new());
-    let joint = (budget as f64 * 0.4) as u64;
     let compiler = Compiler::new(machine)
-        .with_options(CompileOptions {
-            joint_budget: joint,
-            loop_budget: budget - joint,
-            seed,
-            ..CompileOptions::default()
-        })
+        .with_options(common.options())
         .with_telemetry(sink.clone());
     let compiled = if no_tune {
         compiler.compile_unoptimized(&graph)
@@ -669,13 +652,7 @@ fn run_inspect(rest: &[String]) -> i32 {
         eprintln!("{USAGE}");
         return 2;
     };
-    let records = match alt_journal::read_journal(&path) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+    let records = or_exit(alt_journal::read_journal(&path));
     let insp = alt_journal::inspect(&records);
     if let Some(out) = &html {
         if let Err(e) = std::fs::write(out, alt_journal::render_html(&insp)) {
@@ -801,77 +778,63 @@ fn verify_presets() -> Vec<alt_verify::Diagnostic> {
     diags
 }
 
+/// `altc verify` flags.
+#[derive(Default)]
+struct VerifyArgs {
+    common: Common,
+    json: bool,
+    presets: bool,
+    explain: bool,
+    advanced_layouts: bool,
+}
+
+fn parse_verify(mut it: impl Iterator<Item = String>) -> Result<VerifyArgs, String> {
+    let mut args = VerifyArgs::default();
+    while let Some(a) = it.next() {
+        if args.common.parse(&a, &mut it)? {
+            continue;
+        }
+        match a.as_str() {
+            "--json" => args.json = true,
+            "--presets" => args.presets = true,
+            "--explain" => args.explain = true,
+            "--advanced-layouts" => args.advanced_layouts = true,
+            "--help" | "-h" => {
+                println!(
+                    "usage: altc verify [--model NAME] [--platform NAME] [--budget N]\n\
+                     \x20                  [--batch N] [--seed N] [--json] [--presets]\n\
+                     \x20                  [--explain] [--advanced-layouts]\n\
+                     \n\
+                     Runs the static verifier (layout legality, IR well-formedness,\n\
+                     dependence-based race detection) over the model's compiled\n\
+                     artifact. --budget 0 (the default) verifies the unoptimized\n\
+                     lowering; a positive budget tunes first and verifies the winning\n\
+                     layouts and schedules. --presets instead checks every layout\n\
+                     preset constructor. --explain prints, for every diagnostic the\n\
+                     integer-set engine proved, a concrete loop-index witness\n\
+                     demonstrating the violation. --advanced-layouts tunes with the\n\
+                     `xform` knob (swizzle / block-diagonal / Morton) enabled before\n\
+                     verifying. Exit code 1 means diagnostics were found."
+                );
+                std::process::exit(0);
+            }
+            other => return Err(format!("unknown argument `{other}` (try --help)")),
+        }
+    }
+    Ok(args)
+}
+
 /// `altc verify`: statically verify a model's compiled artifact (layout
 /// legality, IR well-formedness, race detection) or, with `--presets`,
 /// the built-in layout preset library. Exits 1 if any diagnostic fires.
 fn run_verify(rest: &[String]) -> i32 {
-    let mut model = "r18".to_string();
-    let mut platform = "intel".to_string();
-    let mut budget = 0u64;
-    let mut batch = 1i64;
-    let mut seed = 0u64;
-    let mut json = false;
-    let mut presets = false;
-    let mut explain = false;
-    let mut advanced_layouts = false;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        let res: Result<(), String> = (|| {
-            match a.as_str() {
-                "--model" | "-m" => model = value("--model")?,
-                "--platform" | "-p" => platform = value("--platform")?,
-                "--budget" | "-b" => {
-                    budget = value("--budget")?
-                        .parse()
-                        .map_err(|e| format!("--budget: {e}"))?
-                }
-                "--batch" => {
-                    batch = value("--batch")?
-                        .parse()
-                        .map_err(|e| format!("--batch: {e}"))?
-                }
-                "--seed" => {
-                    seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                "--json" => json = true,
-                "--presets" => presets = true,
-                "--explain" => explain = true,
-                "--advanced-layouts" => advanced_layouts = true,
-                "--help" | "-h" => {
-                    println!(
-                        "usage: altc verify [--model NAME] [--platform NAME] [--budget N]\n\
-                         \x20                  [--batch N] [--seed N] [--json] [--presets]\n\
-                         \x20                  [--explain] [--advanced-layouts]\n\
-                         \n\
-                         Runs the static verifier (layout legality, IR well-formedness,\n\
-                         dependence-based race detection) over the model's compiled\n\
-                         artifact. --budget 0 (the default) verifies the unoptimized\n\
-                         lowering; a positive budget tunes first and verifies the winning\n\
-                         layouts and schedules. --presets instead checks every layout\n\
-                         preset constructor. --explain prints, for every diagnostic the\n\
-                         integer-set engine proved, a concrete loop-index witness\n\
-                         demonstrating the violation. --advanced-layouts tunes with the\n\
-                         `xform` knob (swizzle / block-diagonal / Morton) enabled before\n\
-                         verifying. Exit code 1 means diagnostics were found."
-                    );
-                    std::process::exit(0);
-                }
-                other => return Err(format!("unknown argument `{other}` (try --help)")),
-            }
-            Ok(())
-        })();
-        if let Err(e) = res {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    }
+    let VerifyArgs {
+        common,
+        json,
+        presets,
+        explain,
+        advanced_layouts,
+    } = or_exit(parse_verify(rest.iter().cloned()));
 
     let (subject, diags, stats) = if presets {
         (
@@ -880,28 +843,18 @@ fn run_verify(rest: &[String]) -> i32 {
             alt_verify::VerifyStats::default(),
         )
     } else {
-        let graph = match build_model(&model, batch) {
-            Ok(g) => g,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        };
-        let machine = match build_platform(&platform) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        };
+        let (graph, machine) = or_exit(common.resolve());
+        let Common {
+            model,
+            budget,
+            batch,
+            ..
+        } = &common;
         let compiler = Compiler::new(machine).with_options(CompileOptions {
-            joint_budget: (budget as f64 * 0.4) as u64,
-            loop_budget: budget - (budget as f64 * 0.4) as u64,
-            seed,
             advanced_layouts,
-            ..CompileOptions::default()
+            ..common.options()
         });
-        let compiled = if budget == 0 {
+        let compiled = if *budget == 0 {
             compiler.compile_unoptimized(&graph)
         } else {
             eprintln!(
@@ -1009,13 +962,7 @@ fn run_store(rest: &[String]) -> i32 {
 
     match cmd.as_str() {
         "stats" => {
-            let store = match alt_store::Store::open_readonly(p) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 2;
-                }
-            };
+            let store = or_exit(alt_store::Store::open_readonly(p));
             let s = store.stats();
             if json {
                 let record = serde_json::json!({
@@ -1070,13 +1017,7 @@ fn run_store(rest: &[String]) -> i32 {
             0
         }
         "verify" => {
-            let r = match alt_store::verify_path(p) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 2;
-                }
-            };
+            let r = or_exit(alt_store::verify_path(p));
             let clean = r.clean();
             if json {
                 let record = serde_json::json!({
@@ -1108,13 +1049,7 @@ fn run_store(rest: &[String]) -> i32 {
             i32::from(!clean)
         }
         "gc" => {
-            let store = match alt_store::Store::open(p) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 2;
-                }
-            };
+            let store = or_exit(alt_store::Store::open(p));
             match store.gc() {
                 Ok(g) => {
                     if json {
@@ -1141,13 +1076,7 @@ fn run_store(rest: &[String]) -> i32 {
             }
         }
         "export" => {
-            let store = match alt_store::Store::open_readonly(p) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 2;
-                }
-            };
+            let store = or_exit(alt_store::Store::open_readonly(p));
             for r in store.records() {
                 let decoded = match r.kind {
                     alt_store::kind::MEASUREMENT => alt_sim::decode_measurement(&r.payload).map(
@@ -1205,51 +1134,27 @@ fn build_platform(name: &str) -> Result<MachineProfile, String> {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("report") {
-        std::process::exit(run_report(&argv[1..]));
-    }
-    if argv.first().map(String::as_str) == Some("inspect") {
-        std::process::exit(run_inspect(&argv[1..]));
-    }
-    if argv.first().map(String::as_str) == Some("profile") {
-        std::process::exit(run_profile(&argv[1..]));
-    }
-    if argv.first().map(String::as_str) == Some("run") {
-        std::process::exit(run_run(&argv[1..]));
-    }
-    if argv.first().map(String::as_str) == Some("verify") {
-        std::process::exit(run_verify(&argv[1..]));
-    }
-    if argv.first().map(String::as_str) == Some("store") {
-        std::process::exit(run_store(&argv[1..]));
-    }
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
+    let subcommand: Option<fn(&[String]) -> i32> = match argv.first().map(String::as_str) {
+        Some("report") => Some(run_report),
+        Some("inspect") => Some(run_inspect),
+        Some("profile") => Some(run_profile),
+        Some("run") => Some(run_run),
+        Some("verify") => Some(run_verify),
+        Some("store") => Some(run_store),
+        _ => None,
     };
-    let graph = match build_model(&args.model, args.batch) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    if let Some(run) = subcommand {
+        std::process::exit(run(&argv[1..]));
+    }
+    let args = or_exit(parse_args(argv.into_iter()));
+    let common = &args.common;
+    let graph = or_exit(build_model(&common.model, common.batch));
     if args.dot {
         print!("{}", alt_tensor::viz::to_dot(&graph));
         return;
     }
-    let profile = match build_platform(&args.platform) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let profile = or_exit(build_platform(&common.platform));
 
-    let joint = (args.budget as f64 * 0.4) as u64;
     // A checkpoint path without an explicit interval still wants periodic
     // writes, not just halt-time ones.
     let checkpoint_every = match (args.checkpoint_every, &args.checkpoint) {
@@ -1263,9 +1168,6 @@ fn main() {
         }
     }
     let compiler = Compiler::new(profile).with_options(CompileOptions {
-        joint_budget: joint,
-        loop_budget: args.budget - joint,
-        seed: args.seed,
         fault_rate: args.faults,
         checkpoint: args.checkpoint.clone(),
         checkpoint_every,
@@ -1281,12 +1183,12 @@ fn main() {
         trace: args.trace.clone(),
         timing: args.timing.is_some() || args.manifest.is_some(),
         progress: args.progress,
-        ..CompileOptions::default()
+        ..common.options()
     });
 
     eprintln!(
         "compiling {} (batch {}) for {} with budget {}...",
-        args.model, args.batch, profile.name, args.budget
+        common.model, common.batch, profile.name, common.budget
     );
     let t0 = std::time::Instant::now();
     let unopt = compiler.compile_unoptimized(&graph);
@@ -1295,10 +1197,10 @@ fn main() {
 
     if args.json {
         let record = serde_json::json!({
-            "model": args.model,
+            "model": common.model,
             "platform": profile.name,
-            "batch": args.batch,
-            "budget": args.budget,
+            "batch": common.batch,
+            "budget": common.budget,
             "measurements": compiled.measurements(),
             "latency_ms": compiled.estimated_latency() * 1e3,
             "unoptimized_latency_ms": unopt.estimated_latency() * 1e3,
@@ -1357,5 +1259,64 @@ fn main() {
                 Err(e) => eprintln!("warning: --manifest {path}: {e}; manifest not written"),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> impl Iterator<Item = String> + '_ {
+        line.split_whitespace().map(String::from)
+    }
+
+    /// The shared flags as each subcommand (`tune`, `run`, `profile`,
+    /// `verify`) parses them.
+    fn each_subcommand(line: &str) -> [Result<Common, String>; 4] {
+        [
+            parse_args(argv(line)).map(|a| a.common),
+            parse_run(argv(line)).map(|a| a.common),
+            parse_profile(argv(line)).map(|a| a.common),
+            parse_verify(argv(line)).map(|a| a.common),
+        ]
+    }
+
+    #[test]
+    fn every_subcommand_accepts_the_short_forms() {
+        for common in each_subcommand("-m bt -p arm -b 7 --batch 2 --seed 9") {
+            let c = common.expect("parses");
+            assert_eq!(
+                (
+                    c.model.as_str(),
+                    c.platform.as_str(),
+                    c.budget,
+                    c.batch,
+                    c.seed
+                ),
+                ("bt", "arm", 7, 2, 9)
+            );
+        }
+    }
+
+    #[test]
+    fn every_subcommand_rejects_a_bad_budget_alike() {
+        for common in each_subcommand("--budget x") {
+            assert_eq!(
+                common.err().as_deref(),
+                Some("--budget: invalid digit found in string")
+            );
+        }
+        for common in each_subcommand("--model") {
+            assert_eq!(common.err().as_deref(), Some("--model requires a value"));
+        }
+    }
+
+    #[test]
+    fn each_subcommand_keeps_its_default_budget() {
+        let budgets: Vec<u64> = each_subcommand("")
+            .into_iter()
+            .map(|c| c.expect("parses").budget)
+            .collect();
+        assert_eq!(budgets, [300, 0, 64, 0]);
     }
 }

@@ -32,7 +32,7 @@ use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use alt_autotune::tuner::{FixedLayout, LayoutSearch, TuneConfig};
-use alt_autotune::{tune_graph, FaultConfig, PpoWeights, TunerCheckpoint};
+use alt_autotune::{tune_graph, FaultConfig, Observer, PpoWeights, TunerCheckpoint};
 use alt_layout::{Layout, LayoutPlan, PropagationMode};
 use alt_loopir::{lower, run_program, GraphSchedule, Program};
 use alt_sim::{MachineProfile, Simulator};
@@ -40,7 +40,7 @@ use alt_telemetry::{Record, Telemetry, Timing};
 use alt_tensor::{Graph, NdBuf, TensorId};
 
 pub use alt_autotune::tuner::TuneResult;
-pub use alt_telemetry::{JsonlSink, MemorySink, NoopSink, RunSummaryRecord, Sink};
+pub use alt_telemetry::{JsonlSink, MemorySink, RunSummaryRecord, Sink};
 
 /// Compilation options (a curated surface over the tuner configuration).
 #[derive(Clone, Debug)]
@@ -235,41 +235,23 @@ impl Compiler {
                 .expect("checkpoint does not match this graph/seed");
             ck
         });
-        // Observability plumbing must never kill a compile: a journal
-        // that cannot be opened degrades to a warning and a no-op sink.
-        let journal = match &o.journal {
-            Some(path) => {
-                let opened = if resume.is_some() {
-                    alt_journal::Journal::jsonl_append(path)
-                } else {
-                    alt_journal::Journal::jsonl(path)
-                };
-                opened.unwrap_or_else(|e| {
-                    let err = alt_error::AltError::Journal {
-                        detail: format!("cannot open {path}: {e}"),
-                    };
-                    eprintln!("warning: {err}; continuing without a journal");
-                    alt_journal::Journal::noop()
-                })
-            }
-            None => alt_journal::Journal::noop(),
-        };
-        // Same contract for the trace sink: an unopenable `--trace` path
-        // is a typed, survivable error — warn and continue trace-less
-        // (falling back to any sink attached via `with_telemetry`).
-        let telemetry = match &o.trace {
-            Some(path) => match JsonlSink::create(path) {
-                Ok(sink) => Telemetry::new(std::sync::Arc::new(sink)),
-                Err(e) => {
-                    let err = alt_error::AltError::Trace {
-                        detail: format!("cannot open {path}: {e}"),
-                    };
-                    eprintln!("warning: {err}; continuing without a trace");
-                    self.telemetry.clone()
-                }
+        // Observability plumbing must never kill a compile: an
+        // unopenable trace or journal degrades to a warning, and the run
+        // continues without it (trace-less runs fall back to any sink
+        // attached via `with_telemetry`).
+        let mut observer = Observer {
+            timing: if o.timing {
+                Timing::enabled()
+            } else {
+                Timing::disabled()
             },
-            None => self.telemetry.clone(),
+            progress: o.progress,
+            ..Observer::open(o.trace.as_deref(), o.journal.as_deref(), resume.is_some())
         };
+        if !observer.trace.is_enabled() {
+            observer.trace = self.telemetry.clone();
+        }
+        let (telemetry, timing) = (observer.trace.clone(), observer.timing.clone());
         // Same contract for the durable store: open failures (foreign
         // file, incompatible version, held writer lock) cost the warm
         // tier, not the compilation.
@@ -282,11 +264,6 @@ impl Compiler {
                 }
             }
         });
-        let timing = if o.timing {
-            Timing::enabled()
-        } else {
-            Timing::disabled()
-        };
         let cfg = TuneConfig {
             joint_budget: o.joint_budget,
             loop_budget: o.loop_budget,
@@ -298,17 +275,14 @@ impl Compiler {
             pretrained: o.pretrained.clone(),
             fixed_layout: o.fixed_layout,
             layout_search: o.layout_search,
-            telemetry: telemetry.clone(),
             faults: (o.fault_rate > 0.0).then(|| FaultConfig::uniform(o.fault_rate)),
             checkpoint_path: o.checkpoint.clone(),
             checkpoint_every: o.checkpoint_every,
             resume,
             jobs: o.jobs,
             verify: o.verify,
-            journal,
             store,
-            timing: timing.clone(),
-            progress: o.progress,
+            observer,
             ..TuneConfig::default()
         };
         let result = tune_graph(graph, self.profile, cfg);

@@ -12,20 +12,24 @@
 //!   touched (provenance, predicted vs measured, verify V-code, cache
 //!   hit/miss, fault outcome, budget index, program/profile
 //!   fingerprints), layout visits/commits, and a summary.
-//! * [`sink`] — the cheap [`Journal`] handle (noop/memory/JSONL,
-//!   mirroring `alt_telemetry::Telemetry`) plus the reader.
+//! * [`sink`] — [`Journal`] and [`MemoryJournal`]: the workspace's one
+//!   sink stack (`alt_telemetry::Telemetry`) over the journal schema,
+//!   plus the reader.
 //! * [`diagnostics`] — convergence, cost-model calibration, and
 //!   joint-space coverage computed from a journal.
 //! * [`render`] / [`html`] — the `altc inspect` text report and the
 //!   self-contained single-file HTML report.
 //!
+//! The tuner never writes journal records directly: it hands each
+//! candidate's terminal outcome, layout visit and layout commit to its
+//! observer as one event, and the journal records here are one
+//! projection of that event (the trace's measurement records are
+//! another).
+//!
 //! Journals are deterministic artifacts: `--jobs N` runs are
 //! journal-bit-identical to sequential runs, and an interrupted run's
 //! journal concatenated with its resumed continuation equals the
-//! uninterrupted journal byte-for-byte. The fingerprint-keyed schema
-//! is deliberately the seed format for the content-addressed tuning
-//! result store (ROADMAP item 1) and the warm-start tuning database
-//! (item 5).
+//! uninterrupted journal byte-for-byte.
 
 pub mod diagnostics;
 pub mod html;
@@ -40,4 +44,4 @@ pub use record::{
     LayoutCommitRecord, LayoutVisitRecord, JOURNAL_VERSION,
 };
 pub use render::render_text;
-pub use sink::{parse_journal, read_journal, Journal, JournalSink, JsonlJournal, MemoryJournal};
+pub use sink::{parse_journal, read_journal, Journal, MemoryJournal};

@@ -12,10 +12,9 @@
 //! ```
 //!
 //! The schema is deliberately append-only and fingerprint-keyed: the
-//! `program_fp`/`cache_key` pair on measured candidates is the seed of
-//! the content-addressed result store planned in ROADMAP item 1, and
-//! `(point, predicted, latency_s)` triples are the warm-start training
-//! data of item 5.
+//! `program_fp`/`cache_key` pair on measured candidates is the key of
+//! the content-addressed result store (`alt_store`), and
+//! `(point, predicted, latency_s)` triples are warm-start training data.
 
 use serde::{Deserialize, Serialize};
 
@@ -79,7 +78,7 @@ pub struct JournalHeader {
 }
 
 /// One candidate the tuner touched, with its terminal outcome.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct CandidateRecord {
     /// Operator tag, e.g. `conv2d#0`.
     pub op: String,

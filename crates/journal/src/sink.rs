@@ -1,180 +1,23 @@
-//! Journal destinations and the cheap `Journal` handle.
+//! Journal destinations: the workspace's one sink stack
+//! (`alt_telemetry::sink`) instantiated with the journal schema.
 //!
-//! Mirrors `alt_telemetry::Telemetry`: instrumented code holds a
-//! [`Journal`] that is either disabled (one `Option` check per emit) or
-//! wraps a shared sink. All journal emission happens on the tuner's
-//! sequential accounting path, so sinks never see concurrent writers
-//! from a single run — but they are still `Send + Sync` so a journal
-//! handle can live inside configs that cross threads.
+//! All journal emission happens on the tuner's sequential accounting
+//! path, so sinks never see concurrent writers from a single run — but
+//! they are still `Send + Sync` so a journal handle can live inside
+//! configs that cross threads.
 
-use std::fs::File;
-use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+
+use alt_telemetry::{parse_jsonl, MemorySink, Telemetry};
 
 use crate::record::JournalRecord;
 
-/// Destination for journal records.
-pub trait JournalSink: Send + Sync {
-    /// Accepts one record.
-    fn record(&self, record: &JournalRecord);
-
-    /// Flushes any buffered output. Default: no-op.
-    fn flush(&self) {}
-}
-
-/// Thread-safe in-memory collector, for tests and bench runs that
-/// inspect the journal without touching disk.
-#[derive(Default)]
-pub struct MemoryJournal {
-    records: Mutex<Vec<JournalRecord>>,
-}
-
-impl MemoryJournal {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Snapshot of everything journaled so far.
-    pub fn records(&self) -> Vec<JournalRecord> {
-        self.records
-            .lock()
-            .expect("memory journal poisoned")
-            .clone()
-    }
-
-    /// The journal rendered exactly as its JSONL file would be — the
-    /// byte-identity currency of the `--jobs` / checkpoint proptests.
-    pub fn lines(&self) -> Vec<String> {
-        self.records()
-            .iter()
-            .map(|r| serde_json::to_string(r).expect("journal record serializes"))
-            .collect()
-    }
-
-    /// Number of records collected.
-    pub fn len(&self) -> usize {
-        self.records.lock().expect("memory journal poisoned").len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl JournalSink for MemoryJournal {
-    fn record(&self, record: &JournalRecord) {
-        self.records
-            .lock()
-            .expect("memory journal poisoned")
-            .push(record.clone());
-    }
-}
-
-/// Appends one compact-JSON line per record to a file.
-pub struct JsonlJournal {
-    writer: Mutex<BufWriter<File>>,
-}
-
-impl JsonlJournal {
-    /// Creates (truncating) the journal file.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(Self {
-            writer: Mutex::new(BufWriter::new(file)),
-        })
-    }
-
-    /// Opens the journal file for appending — how a resumed run
-    /// continues the journal its interrupted predecessor started.
-    pub fn append(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let file = File::options().create(true).append(true).open(path)?;
-        Ok(Self {
-            writer: Mutex::new(BufWriter::new(file)),
-        })
-    }
-}
-
-impl JournalSink for JsonlJournal {
-    fn record(&self, record: &JournalRecord) {
-        let line = serde_json::to_string(record).expect("journal record serializes");
-        let mut w = self.writer.lock().expect("jsonl journal poisoned");
-        let _ = writeln!(w, "{line}");
-    }
-
-    fn flush(&self) {
-        let _ = self.writer.lock().expect("jsonl journal poisoned").flush();
-    }
-}
-
-impl Drop for JsonlJournal {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 /// Cheap, clonable handle the tuner emits journal records through.
-#[derive(Clone, Default)]
-pub struct Journal {
-    sink: Option<Arc<dyn JournalSink>>,
-}
+pub type Journal = Telemetry<JournalRecord>;
 
-impl std::fmt::Debug for Journal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Journal")
-            .field("enabled", &self.is_enabled())
-            .finish()
-    }
-}
-
-impl Journal {
-    /// Disabled handle; emits are dropped before any work happens.
-    pub fn noop() -> Self {
-        Self { sink: None }
-    }
-
-    /// Wraps an existing shared sink.
-    pub fn new(sink: Arc<dyn JournalSink>) -> Self {
-        Self { sink: Some(sink) }
-    }
-
-    /// Collects records in memory; returns the handle and the sink for
-    /// later inspection.
-    pub fn memory() -> (Self, Arc<MemoryJournal>) {
-        let sink = Arc::new(MemoryJournal::new());
-        (Self::new(sink.clone()), sink)
-    }
-
-    /// Streams records to a JSONL journal file (truncating).
-    pub fn jsonl(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(Self::new(Arc::new(JsonlJournal::create(path)?)))
-    }
-
-    /// Continues an existing JSONL journal file (appending), for
-    /// resumed runs.
-    pub fn jsonl_append(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(Self::new(Arc::new(JsonlJournal::append(path)?)))
-    }
-
-    /// Whether emits reach a sink.
-    pub fn is_enabled(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// Sends one record to the sink, if any.
-    pub fn emit(&self, record: JournalRecord) {
-        if let Some(sink) = &self.sink {
-            sink.record(&record);
-        }
-    }
-
-    /// Flushes the underlying sink, if any.
-    pub fn flush(&self) {
-        if let Some(sink) = &self.sink {
-            sink.flush();
-        }
-    }
-}
+/// Thread-safe in-memory journal, for tests and bench runs that inspect
+/// the journal without touching disk.
+pub type MemoryJournal = MemorySink<JournalRecord>;
 
 /// Parses journal text (one JSON record per line; blank lines allowed).
 ///
@@ -182,16 +25,7 @@ impl Journal {
 /// bug, and silently dropping lines would corrupt every diagnostic
 /// downstream.
 pub fn parse_journal(text: &str) -> Result<Vec<JournalRecord>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let rec: JournalRecord =
-            serde_json::from_str(line).map_err(|e| format!("journal line {}: {}", i + 1, e.0))?;
-        out.push(rec);
-    }
-    Ok(out)
+    parse_jsonl(text, "journal")
 }
 
 /// Reads and parses a JSONL journal file.
@@ -215,14 +49,6 @@ mod tests {
             joint_budget: 3,
             loop_budget: 4,
         })
-    }
-
-    #[test]
-    fn noop_handle_drops_records() {
-        let j = Journal::noop();
-        assert!(!j.is_enabled());
-        j.emit(header());
-        j.flush();
     }
 
     #[test]

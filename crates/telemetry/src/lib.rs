@@ -7,9 +7,13 @@
 //!
 //! The pieces:
 //!
-//! * [`Telemetry`] — a cheap clonable handle; disabled by default
-//!   (`Telemetry::noop()`), or backed by a [`MemorySink`] /
-//!   [`JsonlSink`] shared across threads.
+//! * [`sink`] — the one sink stack every JSONL stream in the workspace
+//!   uses, generic over the record type: [`Telemetry`], a cheap
+//!   clonable handle that is disabled by default (`Telemetry::noop()`)
+//!   or backed by a [`MemorySink`] / [`JsonlSink`] shared across
+//!   threads, plus [`parse_jsonl`], the one reader. The trace is
+//!   `Telemetry<Record>`; the search journal (`alt_journal`) is the same
+//!   handle over its own schema.
 //! * [`Record`] — the typed trace schema: one record per measurement
 //!   ([`MeasurementRecord`]), PPO policy updates, cost-model ranking
 //!   accuracy, spans/events, counters, and a run summary.
@@ -41,7 +45,7 @@ pub use record::{
     SpanRecord, Stage, TimingRecord, VerifyRejectionRecord,
 };
 pub use report::{fmt_latency, read_jsonl, render_report};
-pub use sink::{JsonlSink, MemorySink, NoopSink, Sink, Telemetry};
-pub use span::{current_depth, now_us, Span};
+pub use sink::{parse_jsonl, JsonlSink, MemorySink, Sink, Telemetry};
+pub use span::{current_depth, emit_event, now_us, Span};
 pub use stats::spearman;
 pub use timing::{Clock, ManualClock, MonotonicClock, PhaseGuard, PhaseNode, Timing};

@@ -52,22 +52,23 @@ impl Span {
             start_us,
         }
     }
+}
 
-    /// Emits a point event inside this span with key/value fields.
-    pub fn event(&self, name: impl Into<String>, fields: &[(&str, String)]) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        self.telemetry.emit(Record::Event(EventRecord {
-            name: name.into(),
-            depth: self.depth + 1,
-            t_us: now_us(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        }));
+/// Emits a point event with key/value fields, one level below the
+/// innermost open span of this thread.
+pub fn emit_event(telemetry: &Telemetry, name: &str, fields: &[(&str, String)]) {
+    if !telemetry.is_enabled() {
+        return;
     }
+    telemetry.emit(Record::Event(EventRecord {
+        name: name.to_string(),
+        depth: current_depth(),
+        t_us: now_us(),
+        fields: fields
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect(),
+    }));
 }
 
 impl Drop for Span {
@@ -93,8 +94,8 @@ mod tests {
     fn spans_record_nesting_depth() {
         let (t, sink) = Telemetry::memory();
         {
-            let outer = Span::enter(&t, "outer");
-            outer.event("tick", &[("k", "v".to_string())]);
+            let _outer = Span::enter(&t, "outer");
+            emit_event(&t, "tick", &[("k", "v".to_string())]);
             {
                 let _inner = Span::enter(&t, "inner");
             }

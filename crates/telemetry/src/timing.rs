@@ -191,7 +191,7 @@ struct TimingInner {
 /// Cheap clonable handle to the run's wall-clock self-profile. Disabled
 /// by default ([`Timing::disabled`]): every operation is a no-op and
 /// costs no clock read.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Timing {
     inner: Option<Arc<TimingInner>>,
 }
