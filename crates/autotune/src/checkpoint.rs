@@ -18,6 +18,7 @@
 use std::collections::HashMap;
 
 use alt_error::AltError;
+use alt_loopir::hash::Fnv1a;
 use alt_tensor::Graph;
 use serde::{Deserialize, Serialize};
 
@@ -251,13 +252,9 @@ pub fn graph_signature(graph: &Graph) -> String {
         parts.push(s);
     }
     // Cheap stable hash (FNV-1a) so the signature stays short in JSON.
-    let joined = parts.join(";");
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in joined.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    format!("{:016x}:{}ops", h, graph.nodes().len())
+    let mut h = Fnv1a::new();
+    h.write(parts.join(";").as_bytes());
+    format!("{:016x}:{}ops", h.finish(), graph.nodes().len())
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ pub use space::{
     build_layout_template, build_layout_template_ex, build_loop_space, LayoutTemplate, Point, Space,
 };
 pub use tuner::{
-    apply_fixed_layout, base_schedule, tune_graph, FixedLayout, LayoutSearch, TuneConfig,
-    TuneResult, Tuner,
+    apply_fixed_layout, base_schedule, open_store, tune_graph, FixedLayout, Handles, LayoutSearch,
+    TuneConfig, TuneResult, Tuner,
 };
 pub use winner::{decode_winner, encode_winner, task_fingerprint, WinnerRecord, WINNER_VERSION};

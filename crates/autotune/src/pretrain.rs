@@ -9,7 +9,7 @@ use alt_tensor::{Graph, Shape};
 use crate::measure::Measurer;
 use crate::ppo::{pad_obs, PpoAgent, PpoWeights, SharedCritic};
 use crate::space::{apply_layout_decision, build_layout_template, decode_layout_point};
-use crate::tuner::{base_schedule, TuneConfig, Tuner};
+use crate::tuner::{base_schedule, tune_graph, TuneConfig};
 
 /// Builds the pretraining workload set: a few C2D and GMM shapes.
 fn workloads() -> Vec<Graph> {
@@ -102,7 +102,7 @@ pub fn tune_with_pretraining(
 ) -> crate::tuner::TuneResult {
     let weights = pretrain_ppo(profile, pretrain_episodes, cfg.seed ^ 0x5048);
     cfg.pretrained = Some(weights);
-    Tuner::new(graph, profile, cfg).tune()
+    tune_graph(graph, profile, cfg)
 }
 
 #[cfg(test)]

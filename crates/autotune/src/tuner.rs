@@ -20,12 +20,18 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
+use std::sync::Arc;
 
+use alt_error::AltError;
 use alt_journal::{finite, outcome, provenance, JournalHeader, JournalSummary, JOURNAL_VERSION};
 use alt_layout::{presets, Layout, LayoutPlan, PropagationMode};
+use alt_loopir::hash::Fnv1a;
 use alt_loopir::{try_lower_filtered, GraphSchedule, OpSchedule};
 use alt_sim::MachineProfile;
-use alt_telemetry::{CostModelRecord, CounterRegistry, PpoUpdateRecord, Record, Span, Stage};
+use alt_store::Store;
+use alt_telemetry::{
+    CostModelRecord, CounterRegistry, PpoUpdateRecord, Record, Span, Stage, Timing,
+};
 use alt_tensor::{Graph, OpId, OpTag};
 
 use crate::checkpoint::{
@@ -66,7 +72,20 @@ pub enum FixedLayout {
     ChannelTiled(i64),
 }
 
-/// Tuner configuration.
+/// Rounds of loop tuning used to assess one layout candidate.
+pub(crate) const ROUNDS_PER_LAYOUT: usize = 1;
+/// Retries after a transient measurement failure (injected compile
+/// failure or timeout). Every retry consumes one budget unit, like a
+/// re-measurement on real hardware would.
+pub(crate) const MAX_RETRIES: u64 = 2;
+/// Times a candidate may exhaust its retries before it is quarantined
+/// and never proposed again.
+pub(crate) const QUARANTINE_THRESHOLD: u64 = 2;
+
+/// The run configuration: every knob of a tuning run, as plain data.
+/// Files are named by path; [`Handles::open`] opens them, and callers
+/// that bring their own trace, journal, store or checkpoint pass those
+/// to [`Tuner::new`] beside the configuration instead.
 #[derive(Clone, Debug)]
 pub struct TuneConfig {
     /// Budget (measurements) for the joint stage.
@@ -77,8 +96,6 @@ pub struct TuneConfig {
     pub batch: usize,
     /// Measured candidates per round (top-k by cost model).
     pub topk: usize,
-    /// Rounds of loop tuning used to assess one layout candidate.
-    pub rounds_per_layout: usize,
     /// Layout template tiling levels (1 or 2, Fig. 13).
     pub levels: u8,
     /// Loop-space spatial tiling levels (1 or 2).
@@ -87,14 +104,14 @@ pub struct TuneConfig {
     /// remap, Morton interleave) to every layout template. Off by
     /// default: the extra knob multiplies the pruned template spaces and
     /// changes seeded-run trajectories, so it is strictly opt-in
-    /// (`altc tune --advanced-layouts`).
+    /// (`altc --advanced-layouts`).
     pub advanced_layouts: bool,
     /// Layout propagation mode (Full / WithoutFusionAlign / None).
-    pub mode: PropagationMode,
+    pub propagation: PropagationMode,
     /// Treat graph inputs as free to re-layout (single-operator
-    /// benchmarks).
+    /// benchmarks); end-to-end compilation leaves this `false`.
     pub free_input_layouts: bool,
-    /// RNG seed.
+    /// RNG seed (a run is fully deterministic given its configuration).
     pub seed: u64,
     /// Pretrained PPO weights (Fig. 11's PPO-Pret).
     pub pretrained: Option<PpoWeights>,
@@ -107,25 +124,21 @@ pub struct TuneConfig {
     /// NCHW) before exploring. On by default; the search-method study
     /// (Fig. 11) disables it to compare raw explorers.
     pub seed_candidates: bool,
-    /// Fault injection for the measurement path (`None` = perfectly
-    /// reliable). Faults draw from the tuner's own seeded stream, so a
-    /// run is reproduced by its seed and fault configuration.
-    pub faults: Option<FaultConfig>,
-    /// Retries after a transient measurement failure (injected compile
-    /// failure or timeout). Every retry consumes one budget unit, like
-    /// a re-measurement on real hardware would.
-    pub max_retries: u64,
-    /// Times a candidate may exhaust its retries before it is
-    /// quarantined and never proposed again.
-    pub quarantine_threshold: u64,
+    /// Injected fault rate in `[0, 1)`, split between compile failures,
+    /// measurement timeouts and noisy latencies
+    /// ([`FaultConfig::uniform`]). Faults draw from the tuner's own
+    /// seeded stream, so a run is reproduced by its seed and rate. Zero
+    /// disables injection entirely.
+    pub fault_rate: f64,
     /// Write checkpoints to this JSON file at cut points.
-    pub checkpoint_path: Option<String>,
+    pub checkpoint: Option<String>,
     /// Checkpoint every N consumed budget units (0 disables periodic
     /// checkpointing; a final checkpoint is still written on halt).
     pub checkpoint_every: u64,
-    /// Resume from a previously written checkpoint: the run continues
-    /// from the exact budget unit the checkpoint was taken at.
-    pub resume: Option<TunerCheckpoint>,
+    /// Resume from the checkpoint file a previous run with the same
+    /// graph and seed wrote: the run continues from the exact budget
+    /// unit the checkpoint was taken at.
+    pub resume: Option<String>,
     /// Stop at the first cut point at/after this many consumed units,
     /// writing a checkpoint first (simulates a killed run; tests).
     pub halt_after: Option<u64>,
@@ -153,18 +166,23 @@ pub struct TuneConfig {
     /// changes *what* a run computes — winners, transcripts and budgets
     /// stay bit-identical to store-less runs — only how much simulation
     /// work it takes to get there.
-    pub store: Option<std::sync::Arc<alt_store::Store>>,
-    /// Where the run's observations go: trace, journal, wall-clock
-    /// timing and progress heartbeat, all off by default. The tuner
-    /// hands it one event per candidate outcome, layout visit and layout
-    /// commit, and it derives every stream from those events. With
-    /// timing on, the tuner also opens phases (`joint_stage`,
-    /// `loop_stage`, `candidate_gen`, `lower`, `gbt_score`, `prewarm`,
-    /// `measure`, `simulate`, `retry`, `checkpoint`) on the accounting
-    /// thread and attaches the timing registry to the memo cache and
-    /// store. Observation never draws from the RNG or consumes budget,
-    /// so it cannot change a run.
-    pub observer: Observer,
+    pub store: Option<String>,
+    /// Write the deterministic telemetry trace (JSONL) to this path.
+    pub trace: Option<String>,
+    /// Write the search journal (one JSONL record per candidate, layout
+    /// visit/commit, plus a run header and summary) to this path. A
+    /// resumed run appends to the journal its predecessor started, so
+    /// the finished file reads as one uninterrupted run.
+    pub journal: Option<String>,
+    /// Wall-clock self-profiling: phases (`joint_stage`, `loop_stage`,
+    /// `candidate_gen`, `lower`, `gbt_score`, `prewarm`, `measure`,
+    /// `simulate`, `retry`, `checkpoint`) plus memo-cache and store
+    /// latency histograms. It has its own stream, never the trace or
+    /// journal.
+    pub timing: bool,
+    /// Print a throttled live progress heartbeat to stderr (budget
+    /// fraction, candidates/s, cache and store hit rates, ETA).
+    pub progress: bool,
 }
 
 impl Default for TuneConfig {
@@ -174,28 +192,163 @@ impl Default for TuneConfig {
             loop_budget: 700,
             batch: 128,
             topk: 8,
-            rounds_per_layout: 1,
             levels: 1,
             loop_levels: 1,
             advanced_layouts: false,
-            mode: PropagationMode::Full,
+            propagation: PropagationMode::Full,
             free_input_layouts: false,
             seed: 0,
             pretrained: None,
             layout_search: LayoutSearch::Ppo,
             fixed_layout: None,
             seed_candidates: true,
-            faults: None,
-            max_retries: 2,
-            quarantine_threshold: 2,
-            checkpoint_path: None,
-            checkpoint_every: 0,
+            fault_rate: 0.0,
+            checkpoint: None,
+            checkpoint_every: 50,
             resume: None,
             halt_after: None,
             jobs: 1,
             verify: true,
             store: None,
-            observer: Observer::default(),
+            trace: None,
+            journal: None,
+            timing: false,
+            progress: false,
+        }
+    }
+}
+
+impl TuneConfig {
+    /// Feeds every field that can change the tuning result into `h`, in
+    /// the order the store's task fingerprint has always hashed them
+    /// (the retired retry/quarantine/rounds knobs keep their slots as
+    /// constants). Excluded: `jobs` (bit-identical by the parallel
+    /// contract), the file paths, `timing`, `progress`, the checkpoint
+    /// cadence and `halt_after`, and `pretrained` (not faithfully
+    /// hashable; see [`crate::winner::task_fingerprint`]).
+    pub(crate) fn hash_result_fields(&self, h: &mut Fnv1a) {
+        h.u64(self.joint_budget);
+        h.u64(self.loop_budget);
+        h.u64(self.batch as u64);
+        h.u64(self.topk as u64);
+        h.u64(ROUNDS_PER_LAYOUT as u64);
+        h.u64(self.levels as u64);
+        h.u64(self.loop_levels as u64);
+        h.tag(match self.propagation {
+            PropagationMode::Full => 0,
+            PropagationMode::WithoutFusionAlign => 1,
+            PropagationMode::None => 2,
+        });
+        h.tag(self.free_input_layouts as u8);
+        h.u64(self.seed);
+        h.tag(match self.layout_search {
+            LayoutSearch::Ppo => 0,
+            LayoutSearch::Random => 1,
+        });
+        match self.fixed_layout {
+            None => h.tag(0),
+            Some(FixedLayout::Identity) => h.tag(1),
+            Some(FixedLayout::ChannelsLast) => h.tag(2),
+            Some(FixedLayout::ChannelTiled(ct)) => {
+                h.tag(3);
+                h.i64(ct);
+            }
+        }
+        h.tag(self.seed_candidates as u8);
+        match self.faults() {
+            None => h.tag(0),
+            Some(fc) => {
+                h.tag(1);
+                h.f64(fc.compile_failure_rate);
+                h.f64(fc.timeout_rate);
+                h.f64(fc.noise_rate);
+                h.f64(fc.noise_min);
+                h.f64(fc.noise_max);
+            }
+        }
+        h.u64(MAX_RETRIES);
+        h.u64(QUARANTINE_THRESHOLD);
+        h.tag(self.verify as u8);
+        h.tag(self.advanced_layouts as u8);
+    }
+
+    /// The run manifest's configuration fingerprint: the result-relevant
+    /// fields, plus whether PPO weights were pretrained. Two runs with
+    /// the same fingerprint, graph and machine produce bit-identical
+    /// results, whatever streams, store or worker count they attach.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        h.tag(self.pretrained.is_some() as u8);
+        self.hash_result_fields(&mut h);
+        h.finish()
+    }
+
+    /// The injected fault mix, when `fault_rate` asks for one.
+    fn faults(&self) -> Option<FaultConfig> {
+        (self.fault_rate > 0.0).then(|| FaultConfig::uniform(self.fault_rate))
+    }
+}
+
+/// The runtime handles a run writes through, beside its [`TuneConfig`]:
+/// the observer (trace, journal, timing, heartbeat), the durable store
+/// and a loaded checkpoint to resume from. [`Handles::open`] opens the
+/// ones the configuration names; tests and harnesses build their own
+/// (memory sinks, a shared or fault-injected store).
+#[derive(Debug, Default)]
+pub struct Handles {
+    /// Where the run's observations go (all streams off by default).
+    pub observer: Observer,
+    /// The durable store serving and publishing measurements and winners.
+    pub store: Option<Arc<Store>>,
+    /// The checkpoint to resume from; the tuner validates it against the
+    /// graph and seed before restoring.
+    pub resume: Option<TunerCheckpoint>,
+}
+
+impl Handles {
+    /// Opens what `cfg` names. Observation and the store must never kill
+    /// a run: a trace, journal or store that cannot be opened degrades
+    /// to a warning and the run continues without it. A resumed run
+    /// appends to its predecessor's journal.
+    ///
+    /// # Errors
+    ///
+    /// The `resume` checkpoint cannot be read or parsed.
+    pub fn open(cfg: &TuneConfig) -> Result<Self, AltError> {
+        let resume = cfg
+            .resume
+            .as_deref()
+            .map(TunerCheckpoint::load)
+            .transpose()?;
+        Ok(Self {
+            observer: Observer {
+                timing: if cfg.timing {
+                    Timing::enabled()
+                } else {
+                    Timing::disabled()
+                },
+                progress: cfg.progress,
+                ..Observer::open(
+                    cfg.trace.as_deref(),
+                    cfg.journal.as_deref(),
+                    resume.is_some(),
+                )
+            },
+            store: cfg.store.as_deref().and_then(open_store),
+            resume,
+        })
+    }
+}
+
+/// Opens the durable store at `path` for writing. Open failures (foreign
+/// file, incompatible version, held writer lock) cost the warm tier, not
+/// the run: they warn and return `None`.
+pub fn open_store(path: &str) -> Option<Arc<Store>> {
+    match Store::open(std::path::Path::new(path)) {
+        Ok(s) => Some(Arc::new(s)),
+        Err(e) => {
+            eprintln!("warning: {e}; continuing without a tuning store");
+            None
         }
     }
 }
@@ -313,9 +466,11 @@ impl LoopTuneState {
 /// The tuner.
 pub struct Tuner<'g> {
     graph: &'g Graph,
-    /// The run's configuration. Its `observer` is moved into `obs` at
-    /// construction and left at its (all-off) default here.
     cfg: TuneConfig,
+    /// The durable store, when one is attached.
+    store: Option<Arc<Store>>,
+    /// The checkpoint to resume from, until `tune` restores it.
+    resume: Option<TunerCheckpoint>,
     measurer: Measurer<'g>,
     rng: SharedRng,
     loop_state: HashMap<OpId, LoopTuneState>,
@@ -342,42 +497,50 @@ pub struct Tuner<'g> {
 }
 
 impl<'g> Tuner<'g> {
-    /// Creates a tuner.
-    pub fn new(graph: &'g Graph, profile: MachineProfile, mut cfg: TuneConfig) -> Self {
+    /// Creates a tuner for the run `cfg` describes, writing through
+    /// `handles`.
+    pub fn new(
+        graph: &'g Graph,
+        profile: MachineProfile,
+        cfg: TuneConfig,
+        handles: Handles,
+    ) -> Self {
+        let Handles {
+            observer,
+            store,
+            resume,
+        } = handles;
         let mut measurer = Measurer::new(graph, profile);
         // One stream for search and faults: the injector interleaves its
         // draws with the tuner's, so "same seed, same fault config" means
         // the same run. With zero fault rate no injector is attached and
         // the measurement path is exactly the reliable one.
         let rng = SharedRng::seed_from_u64(cfg.seed);
-        if let Some(fc) = &cfg.faults {
-            if fc.total_rate() > 0.0 {
-                measurer.set_injector(Some(FaultInjector::new(fc.clone(), rng.clone())));
-            }
+        if let Some(fc) = cfg.faults() {
+            measurer.set_injector(Some(FaultInjector::new(fc, rng.clone())));
         }
         // The durable store becomes the memo cache's warm tier before
         // any measurement runs, so the store statistics cover the run.
-        if let Some(store) = &cfg.store {
+        if let Some(store) = &store {
             measurer.attach_store(store.clone());
         }
         // Wall-clock timing: the handle's registry becomes the latency
         // sink of the memo cache (`memo.*_us`) and the store
         // (`store.*_us`), and the measurer opens a `simulate` phase per
         // cache probe. All of it is observation-only.
-        if let Some(reg) = cfg.observer.timing.registry() {
+        if let Some(reg) = observer.timing.registry() {
             measurer.sim_cache().attach_registry(reg.clone());
-            if let Some(store) = &cfg.store {
+            if let Some(store) = &store {
                 store.attach_registry(reg);
             }
-            measurer.set_timing(cfg.observer.timing.clone());
+            measurer.set_timing(observer.timing.clone());
         }
-        let obs = RunObserver::new(
-            std::mem::take(&mut cfg.observer),
-            cfg.joint_budget + cfg.loop_budget,
-        );
+        let obs = RunObserver::new(observer, cfg.joint_budget + cfg.loop_budget);
         Self {
             graph,
             cfg,
+            store,
+            resume,
             measurer,
             rng,
             loop_state: HashMap::new(),
@@ -395,7 +558,7 @@ impl<'g> Tuner<'g> {
 
     /// Runs the full two-stage tuning and returns the result.
     pub fn tune(mut self) -> TuneResult {
-        let mut plan = LayoutPlan::new(self.cfg.mode);
+        let mut plan = LayoutPlan::new(self.cfg.propagation);
         let mut sched = base_schedule(self.graph);
 
         if let Some(fixed) = self.cfg.fixed_layout {
@@ -440,8 +603,8 @@ impl<'g> Tuner<'g> {
             self.measurer.sim_cache().profile_fp(),
             &self.cfg,
         );
-        if let (Some(store), Some(fp)) = (self.cfg.store.clone(), task_fp) {
-            if self.cfg.resume.is_none() && self.cfg.halt_after.is_none() {
+        if let (Some(store), Some(fp)) = (self.store.clone(), task_fp) {
+            if self.resume.is_none() && self.cfg.halt_after.is_none() {
                 let winner = store.get(alt_store::kind::WINNER, fp).and_then(|payload| {
                     crate::winner::decode_winner(&payload, fp, &graph_signature(self.graph))
                 });
@@ -462,8 +625,8 @@ impl<'g> Tuner<'g> {
         let mut joint_start = 0u64;
         let mut skip_joint = false;
         let mut critic_state: Option<CriticState> = None;
-        let resumed = self.cfg.resume.is_some();
-        if let Some(ck) = self.cfg.resume.take() {
+        let resumed = self.resume.is_some();
+        if let Some(ck) = self.resume.take() {
             ck.validate(self.graph, self.cfg.seed)
                 .expect("checkpoint does not match this run");
             self.restore_from(&ck, &mut plan, &mut sched, &clones_of);
@@ -573,7 +736,7 @@ impl<'g> Tuner<'g> {
         // A halted run writes no summary — its resumed successor will,
         // so the halted and resumed journals concatenate into exactly
         // the journal an uninterrupted run would have written.
-        let has_store = self.cfg.store.is_some();
+        let has_store = self.store.is_some();
         let (sh, sm) = self.measurer.store_stats();
         let summary = (!halted).then_some(JournalSummary {
             measurements: self.measurer.used,
@@ -586,7 +749,7 @@ impl<'g> Tuner<'g> {
             // A completed run publishes its winner for future identical
             // tasks; a halted run does not (its resumed successor will).
             // A failed publish degrades the store, never the run.
-            if let (Some(store), Some(fp)) = (&self.cfg.store, task_fp) {
+            if let (Some(store), Some(fp)) = (&self.store, task_fp) {
                 let record = crate::winner::WinnerRecord {
                     version: crate::winner::WINNER_VERSION,
                     graph_sig: graph_signature(self.graph),
@@ -855,7 +1018,7 @@ impl<'g> Tuner<'g> {
         if !halt && !periodic {
             return false;
         }
-        if let Some(path) = self.cfg.checkpoint_path.clone() {
+        if let Some(path) = self.cfg.checkpoint.clone() {
             let _timing = self.obs.timing().phase("checkpoint");
             let ck = self.snapshot(
                 phase,
@@ -901,7 +1064,7 @@ impl<'g> Tuner<'g> {
         cap: u64,
         cand: Candidate,
     ) -> Option<f64> {
-        let max_attempts = (1 + self.cfg.max_retries).min(cap.max(1));
+        let max_attempts = (1 + MAX_RETRIES).min(cap.max(1));
         let label = cand.label();
         // Every attempt is kept for the observer; an unobserved run
         // needs none of them.
@@ -929,7 +1092,7 @@ impl<'g> Tuner<'g> {
                     let key = format!("{}:{label}", cand.op);
                     let count = self.fail_counts.entry(key.clone()).or_insert(0);
                     *count += 1;
-                    if *count >= self.cfg.quarantine_threshold && self.quarantine.insert(key) {
+                    if *count >= QUARANTINE_THRESHOLD && self.quarantine.insert(key) {
                         self.registry.add("quarantined", 1.0);
                     }
                 }
@@ -1116,8 +1279,7 @@ impl<'g> Tuner<'g> {
             let remaining = explore_budget
                 .saturating_sub(self.measurer.used - start)
                 .max(1);
-            let lat =
-                self.loop_tune_rounds(op, &trial, sched, self.cfg.rounds_per_layout, remaining);
+            let lat = self.loop_tune_rounds(op, &trial, sched, ROUNDS_PER_LAYOUT, remaining);
             self.observe_layout_visit(op, origin, &point, lat);
             // A fully-faulted assessment yields no latency; skip reward
             // bookkeeping (inf/inf would poison the PPO baseline) and
@@ -1668,9 +1830,15 @@ pub fn seed_points(graph: &Graph, tmpl: &crate::space::LayoutTemplate) -> Vec<Po
     seeds
 }
 
-/// Convenience wrapper.
+/// Tunes `graph` through the handles `cfg` names ([`Handles::open`]).
+///
+/// # Panics
+///
+/// Panics when `cfg.resume` names a checkpoint that cannot be read or
+/// that does not match this graph and seed.
 pub fn tune_graph(graph: &Graph, profile: MachineProfile, cfg: TuneConfig) -> TuneResult {
-    Tuner::new(graph, profile, cfg).tune()
+    let handles = Handles::open(&cfg).unwrap_or_else(|e| panic!("{e}"));
+    Tuner::new(graph, profile, cfg, handles).tune()
 }
 
 /// Base schedule: every elementwise operator requests fusion into its
@@ -1968,13 +2136,16 @@ mod tests {
             topk: 4,
             free_input_layouts: true,
             seed: 5,
+            ..TuneConfig::default()
+        };
+        let handles = Handles {
             observer: Observer {
                 trace,
                 ..Observer::default()
             },
-            ..TuneConfig::default()
+            ..Handles::default()
         };
-        let result = tune_graph(&g, intel_cpu(), cfg);
+        let result = Tuner::new(&g, intel_cpu(), cfg, handles).tune();
         assert_eq!(result.measurements, 50);
         let records = sink.records();
         let measurements: Vec<&alt_telemetry::MeasurementRecord> = records
@@ -2091,14 +2262,17 @@ mod tests {
             topk: 4,
             free_input_layouts: true,
             seed: 9,
+            fault_rate: 0.2,
+            ..TuneConfig::default()
+        };
+        let handles = Handles {
             observer: Observer {
                 trace,
                 ..Observer::default()
             },
-            faults: Some(FaultConfig::uniform(0.2)),
-            ..TuneConfig::default()
+            ..Handles::default()
         };
-        let result = tune_graph(&g, intel_cpu(), cfg);
+        let result = Tuner::new(&g, intel_cpu(), cfg, handles).tune();
         // Graceful degradation: the faulted run still completes and
         // returns a real plan with a real latency.
         assert!(result.latency.is_finite() && result.latency > 0.0);
@@ -2154,7 +2328,7 @@ mod tests {
             topk: 2,
             free_input_layouts: true,
             seed: 13,
-            faults: Some(FaultConfig::uniform(0.2)),
+            fault_rate: 0.2,
             ..TuneConfig::default()
         };
         // The injector draws from the tuner's own stream, so the same
@@ -2184,7 +2358,7 @@ mod tests {
             &g,
             intel_cpu(),
             TuneConfig {
-                checkpoint_path: Some(path.clone()),
+                checkpoint: Some(path.clone()),
                 halt_after: Some(16),
                 ..base.clone()
             },
@@ -2195,12 +2369,11 @@ mod tests {
             halted.measurements,
             full.measurements
         );
-        let ck = TunerCheckpoint::load(&path).unwrap();
         let resumed = tune_graph(
             &g,
             intel_cpu(),
             TuneConfig {
-                resume: Some(ck),
+                resume: Some(path.clone()),
                 ..base.clone()
             },
         );
@@ -2219,7 +2392,7 @@ mod tests {
             topk: 2,
             free_input_layouts: true,
             seed: 23,
-            faults: Some(FaultConfig::uniform(0.2)),
+            fault_rate: 0.2,
             ..TuneConfig::default()
         };
         let full = tune_graph(&g, intel_cpu(), base.clone());
@@ -2228,17 +2401,16 @@ mod tests {
             &g,
             intel_cpu(),
             TuneConfig {
-                checkpoint_path: Some(path.clone()),
+                checkpoint: Some(path.clone()),
                 halt_after: Some(16),
                 ..base.clone()
             },
         );
-        let ck = TunerCheckpoint::load(&path).unwrap();
         let resumed = tune_graph(
             &g,
             intel_cpu(),
             TuneConfig {
-                resume: Some(ck),
+                resume: Some(path.clone()),
                 ..base.clone()
             },
         );
@@ -2261,7 +2433,7 @@ mod tests {
                 topk: 2,
                 free_input_layouts: true,
                 seed: 31,
-                checkpoint_path: Some(path.clone()),
+                checkpoint: Some(path.clone()),
                 halt_after: Some(16),
                 ..TuneConfig::default()
             },
@@ -2282,26 +2454,32 @@ mod tests {
     #[test]
     fn timing_and_progress_do_not_change_the_run() {
         let g = small_conv_graph();
-        let cfg = |timing: Timing, progress: bool, trace: Telemetry| TuneConfig {
+        let cfg = TuneConfig {
             joint_budget: 12,
             loop_budget: 18,
             batch: 8,
             topk: 2,
             free_input_layouts: true,
             seed: 9,
-            observer: Observer {
-                trace,
-                timing,
-                progress,
-                ..Observer::default()
-            },
             ..TuneConfig::default()
         };
+        let run = |timing: Timing, progress: bool, trace: Telemetry| {
+            let handles = Handles {
+                observer: Observer {
+                    trace,
+                    timing,
+                    progress,
+                    ..Observer::default()
+                },
+                ..Handles::default()
+            };
+            Tuner::new(&g, intel_cpu(), cfg.clone(), handles).tune()
+        };
         let (t_plain, sink_plain) = Telemetry::memory();
-        let plain = tune_graph(&g, intel_cpu(), cfg(Timing::disabled(), false, t_plain));
+        let plain = run(Timing::disabled(), false, t_plain);
         let (t_timed, sink_timed) = Telemetry::memory();
         let timing = Timing::enabled();
-        let timed = tune_graph(&g, intel_cpu(), cfg(timing.clone(), true, t_timed));
+        let timed = run(timing.clone(), true, t_timed);
         // Timing and progress are observation-only: winner, budget,
         // history and the full deterministic trace are bit-identical.
         assert_eq!(plain.latency.to_bits(), timed.latency.to_bits());
@@ -2336,13 +2514,16 @@ mod tests {
             topk: 2,
             free_input_layouts: true,
             seed: 9,
+            ..TuneConfig::default()
+        };
+        let handles = Handles {
             observer: Observer {
                 timing: timing.clone(),
                 ..Observer::default()
             },
-            ..TuneConfig::default()
+            ..Handles::default()
         };
-        let result = tune_graph(&g, intel_cpu(), cfg);
+        let result = Tuner::new(&g, intel_cpu(), cfg, handles).tune();
         let root = timing.snapshot().expect("timing enabled");
         assert!(root.is_conserved(), "{root:?}");
         let joint = root.find("joint_stage").expect("joint stage ran");

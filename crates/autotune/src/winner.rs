@@ -12,12 +12,10 @@
 //!
 //! The task fingerprint hashes the graph signature, the machine profile
 //! fingerprint, and every `TuneConfig` field that can change the tuning
-//! *result*. Deliberately excluded: `jobs` (bit-identical by the
-//! parallel-measurement contract), telemetry/journal sinks and
-//! checkpoint plumbing (observability only), and the store itself.
-//! A run with pretrained PPO weights has no fingerprint at all — the
-//! weights are not faithfully hashable, and a wrong warm-start is worse
-//! than none.
+//! *result* — the same field walk as the run manifest's configuration
+//! fingerprint ([`TuneConfig::fingerprint`]). A run with pretrained PPO
+//! weights has no task fingerprint at all — the weights are not
+//! faithfully hashable, and a wrong warm-start is worse than none.
 
 use alt_error::AltError;
 use alt_loopir::hash::Fnv1a;
@@ -25,7 +23,7 @@ use alt_tensor::Graph;
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{graph_signature, CommitSnap, SchedSnap};
-use crate::tuner::{FixedLayout, LayoutSearch, TuneConfig};
+use crate::tuner::TuneConfig;
 
 /// Current winner record format version.
 pub const WINNER_VERSION: u64 = 1;
@@ -65,49 +63,7 @@ pub fn task_fingerprint(graph: &Graph, profile_fp: u64, cfg: &TuneConfig) -> Opt
     h.tag(0x57); // 'W'
     h.str(&graph_signature(graph));
     h.u64(profile_fp);
-    h.u64(cfg.joint_budget);
-    h.u64(cfg.loop_budget);
-    h.u64(cfg.batch as u64);
-    h.u64(cfg.topk as u64);
-    h.u64(cfg.rounds_per_layout as u64);
-    h.u64(cfg.levels as u64);
-    h.u64(cfg.loop_levels as u64);
-    h.tag(match cfg.mode {
-        alt_layout::PropagationMode::Full => 0,
-        alt_layout::PropagationMode::WithoutFusionAlign => 1,
-        alt_layout::PropagationMode::None => 2,
-    });
-    h.tag(cfg.free_input_layouts as u8);
-    h.u64(cfg.seed);
-    h.tag(match cfg.layout_search {
-        LayoutSearch::Ppo => 0,
-        LayoutSearch::Random => 1,
-    });
-    match cfg.fixed_layout {
-        None => h.tag(0),
-        Some(FixedLayout::Identity) => h.tag(1),
-        Some(FixedLayout::ChannelsLast) => h.tag(2),
-        Some(FixedLayout::ChannelTiled(ct)) => {
-            h.tag(3);
-            h.i64(ct);
-        }
-    }
-    h.tag(cfg.seed_candidates as u8);
-    match &cfg.faults {
-        None => h.tag(0),
-        Some(fc) => {
-            h.tag(1);
-            h.f64(fc.compile_failure_rate);
-            h.f64(fc.timeout_rate);
-            h.f64(fc.noise_rate);
-            h.f64(fc.noise_min);
-            h.f64(fc.noise_max);
-        }
-    }
-    h.u64(cfg.max_retries);
-    h.u64(cfg.quarantine_threshold);
-    h.tag(cfg.verify as u8);
-    h.tag(cfg.advanced_layouts as u8);
+    cfg.hash_result_fields(&mut h);
     Some(h.finish())
 }
 
@@ -212,6 +168,8 @@ mod tests {
         t.jobs = 8;
         t.checkpoint_every = 100;
         t.halt_after = Some(10);
+        t.trace = Some("t.jsonl".into());
+        t.store = Some("s.alts".into());
         assert_eq!(task_fingerprint(&g, 11, &t), Some(fp));
         // ...while anything result-relevant does.
         let mut t = base.clone();
@@ -227,10 +185,10 @@ mod tests {
         t.advanced_layouts = true;
         assert_ne!(task_fingerprint(&g, 11, &t), Some(fp));
         let mut t = base.clone();
-        t.faults = Some(crate::fault::FaultConfig::uniform(0.1));
+        t.fault_rate = 0.1;
         assert_ne!(task_fingerprint(&g, 11, &t), Some(fp));
         let mut t = base.clone();
-        t.fixed_layout = Some(FixedLayout::ChannelTiled(8));
+        t.fixed_layout = Some(crate::tuner::FixedLayout::ChannelTiled(8));
         assert_ne!(task_fingerprint(&g, 11, &t), Some(fp));
         // A different machine moves it too.
         assert_ne!(task_fingerprint(&g, 12, &base), Some(fp));
@@ -243,5 +201,29 @@ mod tests {
             critic: crate::nn::Mlp::new(4, 4, 1, &mut rng),
         });
         assert_eq!(task_fingerprint(&g, 11, &t), None);
+    }
+
+    #[test]
+    fn on_disk_fingerprints_are_pinned() {
+        // Stores and checkpoints written by earlier builds must keep
+        // matching: these literals are the values those builds computed
+        // for this graph on the Intel profile.
+        let g = graph();
+        let profile_fp = alt_sim::profile_fingerprint(&alt_sim::intel_cpu());
+        assert_eq!(graph_signature(&g), "b30e9f899ff4100c:2ops");
+        assert_eq!(profile_fp, 0xff83_a8e0_71d5_51af);
+        let base = TuneConfig::default();
+        assert_eq!(
+            task_fingerprint(&g, profile_fp, &base),
+            Some(0xf73a_48a8_2059_052e)
+        );
+        let faulted = TuneConfig {
+            fault_rate: 0.1,
+            ..base
+        };
+        assert_eq!(
+            task_fingerprint(&g, profile_fp, &faulted),
+            Some(0x667b_ba7e_a577_c019)
+        );
     }
 }

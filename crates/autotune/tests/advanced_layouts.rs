@@ -10,7 +10,7 @@
 use std::collections::BTreeSet;
 
 use alt_autotune::tuner::LayoutSearch;
-use alt_autotune::{build_layout_template_ex, tune_graph, TuneConfig, TuneResult};
+use alt_autotune::{build_layout_template_ex, TuneConfig, TuneResult};
 use alt_journal::{JournalRecord, MemoryJournal};
 use alt_sim::intel_cpu;
 use alt_tensor::exec::random_bindings;
@@ -37,13 +37,17 @@ fn tuned(advanced: bool, seed: u64) -> (TuneResult, Arc<MemoryJournal>) {
         layout_search: LayoutSearch::Random,
         free_input_layouts: true,
         seed,
+        ..TuneConfig::default()
+    };
+    let handles = alt_autotune::Handles {
         observer: alt_autotune::Observer {
             journal,
             ..Default::default()
         },
-        ..TuneConfig::default()
+        ..Default::default()
     };
-    (tune_graph(&conv_graph(), intel_cpu(), cfg), sink)
+    let result = alt_autotune::Tuner::new(&conv_graph(), intel_cpu(), cfg, handles).tune();
+    (result, sink)
 }
 
 #[test]

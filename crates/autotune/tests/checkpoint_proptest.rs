@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use alt_autotune::{tune_graph, FaultConfig, Observer, TuneConfig, TunerCheckpoint};
+use alt_autotune::{tune_graph, Handles, Observer, TuneConfig, TuneResult, Tuner, TunerCheckpoint};
 use alt_sim::intel_cpu;
 use alt_telemetry::{Record, Telemetry};
 use alt_tensor::ops::{self, ConvCfg};
@@ -30,30 +30,39 @@ fn base_cfg(seed: u64, fault_rate: f64) -> TuneConfig {
         topk: 2,
         free_input_layouts: true,
         seed,
-        faults: if fault_rate > 0.0 {
-            Some(FaultConfig::uniform(fault_rate))
-        } else {
-            None
-        },
+        fault_rate,
         ..TuneConfig::default()
     }
 }
 
-/// `base_cfg` with a memory trace attached; returns the config and the
-/// trace's sink.
-fn traced_cfg(
-    seed: u64,
-    fault_rate: f64,
-) -> (TuneConfig, std::sync::Arc<alt_telemetry::MemorySink>) {
+/// Tunes `g` under `cfg` through `handles`.
+fn tune(g: &Graph, cfg: TuneConfig, handles: Handles) -> TuneResult {
+    Tuner::new(g, intel_cpu(), cfg, handles).tune()
+}
+
+/// Handles with a memory trace attached; returns them and the trace's
+/// sink.
+fn traced() -> (Handles, std::sync::Arc<alt_telemetry::MemorySink>) {
     let (trace, sink) = Telemetry::memory();
-    let cfg = TuneConfig {
+    let handles = Handles {
         observer: Observer {
             trace,
             ..Observer::default()
         },
-        ..base_cfg(seed, fault_rate)
+        ..Handles::default()
     };
-    (cfg, sink)
+    (handles, sink)
+}
+
+/// Handles with only a memory journal attached.
+fn journaled(journal: alt_journal::Journal) -> Handles {
+    Handles {
+        observer: Observer {
+            journal,
+            ..Observer::default()
+        },
+        ..Handles::default()
+    }
 }
 
 fn ck_path(tag: &str, seed: u64, halt: u64, faulted: bool) -> String {
@@ -88,10 +97,7 @@ proptest! {
         let g = conv_graph();
         let rate = if faulted { 0.2 } else { 0.0 };
         let (full_journal, full_sink) = alt_journal::Journal::memory();
-        let full = tune_graph(&g, intel_cpu(), TuneConfig {
-            observer: Observer { journal: full_journal, ..Observer::default() },
-            ..base_cfg(seed, rate)
-        });
+        let full = tune(&g, base_cfg(seed, rate), journaled(full_journal));
 
         let dir = std::env::temp_dir().join("alt-ck-proptest");
         std::fs::create_dir_all(&dir).unwrap();
@@ -102,12 +108,11 @@ proptest! {
             .to_string();
 
         let (halted_journal, halted_sink) = alt_journal::Journal::memory();
-        let halted = tune_graph(&g, intel_cpu(), TuneConfig {
-            checkpoint_path: Some(path.clone()),
+        let halted = tune(&g, TuneConfig {
+            checkpoint: Some(path.clone()),
             halt_after: Some(halt),
-            observer: Observer { journal: halted_journal, ..Observer::default() },
             ..base_cfg(seed, rate)
-        });
+        }, journaled(halted_journal));
 
         // Halting can only ever be early or a no-op, never overspend.
         prop_assert!(halted.measurements <= full.measurements);
@@ -115,10 +120,9 @@ proptest! {
         if std::path::Path::new(&path).exists() {
             let ck = TunerCheckpoint::load(&path).unwrap();
             let (resumed_journal, resumed_sink) = alt_journal::Journal::memory();
-            let resumed = tune_graph(&g, intel_cpu(), TuneConfig {
+            let resumed = tune(&g, base_cfg(seed, rate), Handles {
                 resume: Some(ck),
-                observer: Observer { journal: resumed_journal, ..Observer::default() },
-                ..base_cfg(seed, rate)
+                ..journaled(resumed_journal)
             });
             std::fs::remove_file(&path).ok();
             prop_assert_eq!(resumed.measurements, full.measurements);
@@ -154,16 +158,16 @@ proptest! {
         let plain_path = ck_path("plain", seed, halt, faulted);
         let traced_path = ck_path("traced", seed, halt, faulted);
         tune_graph(&g, intel_cpu(), TuneConfig {
-            checkpoint_path: Some(plain_path.clone()),
+            checkpoint: Some(plain_path.clone()),
             halt_after: Some(halt),
             ..base_cfg(seed, rate)
         });
-        let (cfg, _sink) = traced_cfg(seed, rate);
-        tune_graph(&g, intel_cpu(), TuneConfig {
-            checkpoint_path: Some(traced_path.clone()),
+        let (handles, _sink) = traced();
+        tune(&g, TuneConfig {
+            checkpoint: Some(traced_path.clone()),
             halt_after: Some(halt),
-            ..cfg
-        });
+            ..base_cfg(seed, rate)
+        }, handles);
         let plain = std::fs::read(&plain_path).ok();
         let traced = std::fs::read(&traced_path).ok();
         std::fs::remove_file(&plain_path).ok();
@@ -182,23 +186,23 @@ proptest! {
     ) {
         let g = conv_graph();
         let rate = if faulted { 0.2 } else { 0.0 };
-        let (cfg, full_sink) = traced_cfg(seed, rate);
-        tune_graph(&g, intel_cpu(), cfg);
+        let (handles, full_sink) = traced();
+        tune(&g, base_cfg(seed, rate), handles);
         let full = measurements(full_sink.records());
 
         let path = ck_path("mixed", seed, halt, faulted);
         tune_graph(&g, intel_cpu(), TuneConfig {
-            checkpoint_path: Some(path.clone()),
+            checkpoint: Some(path.clone()),
             halt_after: Some(halt),
             ..base_cfg(seed, rate)
         });
         if std::path::Path::new(&path).exists() {
             let ck = TunerCheckpoint::load(&path).unwrap();
             std::fs::remove_file(&path).ok();
-            let (cfg, resumed_sink) = traced_cfg(seed, rate);
-            tune_graph(&g, intel_cpu(), TuneConfig {
+            let (handles, resumed_sink) = traced();
+            tune(&g, base_cfg(seed, rate), Handles {
                 resume: Some(ck),
-                ..cfg
+                ..handles
             });
             let resumed = measurements(resumed_sink.records());
             prop_assert!(resumed.len() <= full.len());

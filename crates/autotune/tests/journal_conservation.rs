@@ -8,7 +8,7 @@
 //! fault-free run every attempt succeeds, so the identity sharpens to
 //! `#measured + #cache_hit == budget`.
 
-use alt_autotune::{tune_graph, FaultConfig, TuneConfig, TuneResult};
+use alt_autotune::{Handles, Observer, TuneConfig, TuneResult, Tuner};
 use alt_journal::{outcome, JournalRecord, MemoryJournal};
 use alt_sim::intel_cpu;
 use alt_tensor::ops::{self, ConvCfg};
@@ -38,14 +38,17 @@ fn journaled_run(seed: u64, fault_rate: f64) -> (TuneResult, Arc<MemoryJournal>)
         topk: 2,
         free_input_layouts: true,
         seed,
-        observer: alt_autotune::Observer {
+        fault_rate,
+        ..TuneConfig::default()
+    };
+    let handles = Handles {
+        observer: Observer {
             journal,
             ..Default::default()
         },
-        faults: (fault_rate > 0.0).then(|| FaultConfig::uniform(fault_rate)),
-        ..TuneConfig::default()
+        ..Handles::default()
     };
-    let result = tune_graph(&conv_graph(), intel_cpu(), cfg);
+    let result = Tuner::new(&conv_graph(), intel_cpu(), cfg, handles).tune();
     (result, sink)
 }
 
@@ -268,15 +271,18 @@ fn check_streams_agree(graph: &Graph, seed: u64) -> (usize, usize) {
         free_input_layouts: true,
         seed,
         verify: true,
-        faults: Some(FaultConfig::uniform(0.2)),
-        observer: alt_autotune::Observer {
+        fault_rate: 0.2,
+        ..TuneConfig::default()
+    };
+    let handles = Handles {
+        observer: Observer {
             trace,
             journal,
             ..Default::default()
         },
-        ..TuneConfig::default()
+        ..Handles::default()
     };
-    let result = tune_graph(graph, intel_cpu(), cfg);
+    let result = Tuner::new(graph, intel_cpu(), cfg, handles).tune();
     let trace = trace_sink.records();
     let journal = journal_sink.records();
 

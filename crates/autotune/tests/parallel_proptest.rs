@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use alt_autotune::{tune_graph, FaultConfig, TuneConfig, TuneResult};
+use alt_autotune::{Handles, Observer, TuneConfig, TuneResult, Tuner};
 use alt_sim::intel_cpu;
 use alt_telemetry::{MemorySink, Record, Telemetry};
 use alt_tensor::ops::{self, ConvCfg};
@@ -41,17 +41,20 @@ fn traced(seed: u64, rate: f64, jobs: usize, ck: &str) -> (TuneResult, Vec<Recor
         free_input_layouts: true,
         seed,
         jobs,
-        observer: alt_autotune::Observer {
+        fault_rate: rate,
+        checkpoint: Some(ck.to_string()),
+        checkpoint_every: 8,
+        ..TuneConfig::default()
+    };
+    let handles = Handles {
+        observer: Observer {
             trace: Telemetry::new(sink.clone()),
             journal,
             ..Default::default()
         },
-        faults: (rate > 0.0).then(|| FaultConfig::uniform(rate)),
-        checkpoint_path: Some(ck.to_string()),
-        checkpoint_every: 8,
-        ..TuneConfig::default()
+        ..Handles::default()
     };
-    let result = tune_graph(&conv_graph(), intel_cpu(), cfg);
+    let result = Tuner::new(&conv_graph(), intel_cpu(), cfg, handles).tune();
     let records = sink
         .records()
         .into_iter()

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use alt_autotune::{tune_graph, TuneConfig};
+use alt_autotune::{tune_graph, Handles, TuneConfig, TuneResult, Tuner};
 use alt_sim::intel_cpu;
 use alt_store::faults::{FailAppend, IoFault};
 use alt_store::{verify_path, Store};
@@ -37,6 +37,15 @@ fn base_cfg(seed: u64, jobs: usize) -> TuneConfig {
         jobs,
         ..TuneConfig::default()
     }
+}
+
+/// Tunes `g` under `cfg` with `store` attached.
+fn tune_with_store(g: &Graph, cfg: TuneConfig, store: Arc<Store>) -> TuneResult {
+    let handles = Handles {
+        store: Some(store),
+        ..Handles::default()
+    };
+    Tuner::new(g, intel_cpu(), cfg, handles).tune()
 }
 
 fn store_at(tag: &str) -> (std::path::PathBuf, Arc<Store>) {
@@ -82,10 +91,7 @@ proptest! {
         prop_assert_eq!((bare.store_hits, bare.store_misses), (0, 0));
 
         let (path, store) = store_at(&format!("warm-{seed}-{jobs}"));
-        let cold = tune_graph(&g, intel_cpu(), TuneConfig {
-            store: Some(store.clone()),
-            ..base_cfg(seed, jobs)
-        });
+        let cold = tune_with_store(&g, base_cfg(seed, jobs), store.clone());
         prop_assert!(!cold.warm_start);
         prop_assert_eq!(cold.store_hits, 0);
         prop_assert!(cold.store_misses > 0);
@@ -99,10 +105,7 @@ proptest! {
                 Some(s) if !reopen => s,
                 _ => Arc::new(Store::open(&path).expect("reopen store")),
             };
-            let warm = tune_graph(&g, intel_cpu(), TuneConfig {
-                store: Some(store),
-                ..base_cfg(seed, jobs)
-            });
+            let warm = tune_with_store(&g, base_cfg(seed, jobs), store);
             prop_assert!(warm.warm_start);
             prop_assert_eq!(warm.measurements, 0);
             prop_assert!(warm.history.is_empty());
@@ -116,10 +119,7 @@ proptest! {
         // Worker count changes nothing: a warm start from this store at
         // the other width lands on the same winner bits.
         let other = if wide { 1 } else { 8 };
-        let cross = tune_graph(&g, intel_cpu(), TuneConfig {
-            store: Some(Arc::new(Store::open(&path).expect("reopen store"))),
-            ..base_cfg(seed, other)
-        });
+        let cross = tune_with_store(&g, base_cfg(seed, other), Arc::new(Store::open(&path).expect("reopen store")));
         prop_assert!(cross.warm_start);
         prop_assert_eq!(cross.latency.to_bits(), cold.latency.to_bits());
     }
@@ -147,10 +147,7 @@ proptest! {
         let store =
             Arc::new(Store::open_with_faults(&path, hook).expect("open faulted store"));
 
-        let hurt = tune_graph(&g, intel_cpu(), TuneConfig {
-            store: Some(store.clone()),
-            ..base_cfg(seed, 1)
-        });
+        let hurt = tune_with_store(&g, base_cfg(seed, 1), store.clone());
         prop_assert!(store.is_wedged());
         prop_assert!(!hurt.warm_start);
         prop_assert_eq!(outcome(&g, &hurt), outcome(&g, &bare));

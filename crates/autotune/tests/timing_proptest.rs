@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use alt_autotune::{tune_graph, TuneConfig, TuneResult};
+use alt_autotune::{Handles, TuneConfig, TuneResult, Tuner};
 use alt_sim::intel_cpu;
 use alt_store::Store;
 use alt_telemetry::{MemorySink, Record, Telemetry, Timing};
@@ -59,16 +59,19 @@ fn run(
         free_input_layouts: true,
         seed,
         jobs,
-        store,
+        ..TuneConfig::default()
+    };
+    let handles = Handles {
         observer: alt_autotune::Observer {
             trace: Telemetry::new(sink.clone()),
             journal,
             timing,
             progress,
         },
-        ..TuneConfig::default()
+        store,
+        resume: None,
     };
-    let result = tune_graph(&conv_graph(), intel_cpu(), cfg);
+    let result = Tuner::new(&conv_graph(), intel_cpu(), cfg, handles).tune();
     let records = sink
         .records()
         .into_iter()

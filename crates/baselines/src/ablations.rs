@@ -39,7 +39,7 @@ pub fn alt_wp(
     let cfg = TuneConfig {
         joint_budget,
         loop_budget,
-        mode: PropagationMode::WithoutFusionAlign,
+        propagation: PropagationMode::WithoutFusionAlign,
         free_input_layouts: true,
         seed,
         ..TuneConfig::default()

@@ -78,7 +78,7 @@ fn main() {
             let cfg = TuneConfig {
                 joint_budget: budget * 2 / 5,
                 loop_budget: budget * 3 / 5,
-                mode,
+                propagation: mode,
                 free_input_layouts: true,
                 seed: 5,
                 ..TuneConfig::default()

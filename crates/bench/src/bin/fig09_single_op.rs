@@ -14,8 +14,8 @@
 
 use std::collections::HashMap;
 
-use alt_autotune::tune_graph;
 use alt_autotune::tuner::{TuneConfig, TuneResult};
+use alt_autotune::{Handles, Tuner};
 use alt_baselines::{ansor_like, autotvm_like, flextensor_like, vendor_plan};
 use alt_bench::{normalized_performance, scaled, single_op_cases, BenchReport, TablePrinter};
 use alt_layout::LayoutPrim;
@@ -43,11 +43,14 @@ fn alt_tune(
         free_input_layouts: true,
         seed,
         jobs: alt_bench::jobs(),
-        store,
-        observer,
         ..TuneConfig::default()
     };
-    tune_graph(graph, profile, cfg)
+    let handles = Handles {
+        observer,
+        store,
+        resume: None,
+    };
+    Tuner::new(graph, profile, cfg, handles).tune()
 }
 
 /// Reports the tuned `ot` (innermost channel tile) of ALT's layouts.

@@ -14,8 +14,8 @@
 
 use std::collections::HashMap;
 
-use alt_autotune::tune_graph;
 use alt_autotune::tuner::TuneConfig;
+use alt_autotune::{Handles, Tuner};
 use alt_baselines::{alt_ol, alt_wp, ansor_like, autotvm_like, vendor_plan};
 use alt_bench::{normalized_performance, scaled, BenchReport, TablePrinter};
 use alt_layout::PropagationMode;
@@ -38,15 +38,18 @@ fn alt_full_e2e(
     let cfg = TuneConfig {
         joint_budget: joint,
         loop_budget: budget - joint,
-        mode: PropagationMode::Full,
+        propagation: PropagationMode::Full,
         free_input_layouts: false,
         seed,
         jobs: alt_bench::jobs(),
-        store,
-        observer,
         ..TuneConfig::default()
     };
-    tune_graph(graph, profile, cfg)
+    let handles = Handles {
+        observer,
+        store,
+        resume: None,
+    };
+    Tuner::new(graph, profile, cfg, handles).tune()
 }
 
 fn workloads(profile: &MachineProfile) -> Vec<(String, Graph)> {

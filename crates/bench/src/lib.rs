@@ -199,13 +199,7 @@ pub fn jobs() -> usize {
 /// comparison in the store-smoke CI job is produced.
 pub fn store_from_env() -> Option<std::sync::Arc<alt_store::Store>> {
     let path = std::env::var("ALT_STORE").ok().filter(|s| !s.is_empty())?;
-    match alt_store::Store::open(std::path::Path::new(&path)) {
-        Ok(s) => Some(std::sync::Arc::new(s)),
-        Err(e) => {
-            eprintln!("warning: {e}; continuing without a tuning store");
-            None
-        }
-    }
+    alt_autotune::open_store(&path)
 }
 
 /// The figure harnesses' tuning observer, from the environment:
@@ -225,19 +219,6 @@ pub fn observer_from_env() -> alt_autotune::Observer {
         progress: on("ALT_PROGRESS"),
         ..alt_autotune::Observer::default()
     }
-}
-
-/// FNV-1a over a canonical description string — the same fingerprint
-/// construction `alt-core` uses for compile options, applied here to a
-/// benchmark configuration so manifests from different runs of the same
-/// figure/platform/scale can be matched up.
-fn fnv1a(canonical: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in canonical.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Folds one platform's wall-clock self-profile into the report: builds
@@ -265,11 +246,9 @@ pub fn finish_timing(
     facts.extend(env.iter().map(|(k, v)| (*k, v.clone())));
     // The fingerprint names the *configuration*, not the environment:
     // jobs is excluded because every jobs value is result-identical.
-    let fp = fnv1a(&format!(
-        "bench={bench} platform={platform} scale={}",
-        budget_scale()
-    ));
-    let Some(manifest) = timing.manifest(&facts, fp) else {
+    let mut fp = alt_loopir::hash::Fnv1a::new();
+    fp.write(format!("bench={bench} platform={platform} scale={}", budget_scale()).as_bytes());
+    let Some(manifest) = timing.manifest(&facts, fp.finish()) else {
         return;
     };
     if let Some(root) = timing.snapshot() {

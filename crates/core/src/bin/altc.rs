@@ -42,7 +42,9 @@ struct Common {
     platform: String,
     budget: u64,
     batch: i64,
-    seed: u64,
+    /// The run configuration the tuning flags parse into; `--budget` is
+    /// split over its two stages by [`Common::options`].
+    cfg: CompileOptions,
 }
 
 /// ResNet-18 on the Intel profile, batch 1, seed 0, no tuning budget.
@@ -53,7 +55,7 @@ impl Default for Common {
             platform: "intel".into(),
             budget: 0,
             batch: 1,
-            seed: 0,
+            cfg: CompileOptions::default(),
         }
     }
 }
@@ -75,7 +77,7 @@ impl Common {
             "--platform" | "-p" => self.platform = value("--platform", it)?,
             "--budget" | "-b" => self.budget = number("--budget", it)?,
             "--batch" => self.batch = number("--batch", it)?,
-            "--seed" => self.seed = number("--seed", it)?,
+            "--seed" => self.cfg.seed = number("--seed", it)?,
             _ => return Ok(false),
         }
         Ok(true)
@@ -89,14 +91,14 @@ impl Common {
         ))
     }
 
-    /// Compile options with the paper's 40/60 joint/loop budget split.
+    /// The parsed configuration with the paper's 40/60 joint/loop
+    /// budget split.
     fn options(&self) -> CompileOptions {
         let joint = (self.budget as f64 * 0.4) as u64;
         CompileOptions {
             joint_budget: joint,
             loop_budget: self.budget - joint,
-            seed: self.seed,
-            ..CompileOptions::default()
+            ..self.cfg.clone()
         }
     }
 }
@@ -117,30 +119,22 @@ where
     value(flag, it)?.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
+/// `altc` compile flags: the shared ones, which carry the run
+/// configuration, plus altc's own outputs.
 #[derive(Default)]
 struct Args {
     common: Common,
     json: bool,
     dot: bool,
-    trace: Option<String>,
-    journal: Option<String>,
-    faults: f64,
-    checkpoint: Option<String>,
-    checkpoint_every: u64,
-    resume: Option<String>,
-    jobs: usize,
-    no_verify: bool,
-    advanced_layouts: bool,
-    store: Option<String>,
+    /// Write the wall-clock timing stream here.
     timing: Option<String>,
+    /// Write the run's timing manifest here.
     manifest: Option<String>,
-    progress: bool,
 }
 
 fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         common: Common::with_budget(300),
-        jobs: 1,
         ..Args::default()
     };
     while let Some(a) = it.next() {
@@ -148,32 +142,33 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             continue;
         }
         let it = &mut it;
+        let cfg = &mut args.common.cfg;
         match a.as_str() {
             "--json" => args.json = true,
             "--dot" => args.dot = true,
-            "--trace" => args.trace = Some(value("--trace", it)?),
-            "--journal" => args.journal = Some(value("--journal", it)?),
+            "--trace" => cfg.trace = Some(value("--trace", it)?),
+            "--journal" => cfg.journal = Some(value("--journal", it)?),
             "--faults" => {
-                args.faults = number("--faults", it)?;
-                if !(0.0..1.0).contains(&args.faults) {
+                cfg.fault_rate = number("--faults", it)?;
+                if !(0.0..1.0).contains(&cfg.fault_rate) {
                     return Err("--faults must be in [0, 1)".into());
                 }
             }
-            "--checkpoint" => args.checkpoint = Some(value("--checkpoint", it)?),
-            "--checkpoint-every" => args.checkpoint_every = number("--checkpoint-every", it)?,
-            "--resume" => args.resume = Some(value("--resume", it)?),
+            "--checkpoint" => cfg.checkpoint = Some(value("--checkpoint", it)?),
+            "--checkpoint-every" => cfg.checkpoint_every = number("--checkpoint-every", it)?,
+            "--resume" => cfg.resume = Some(value("--resume", it)?),
             "--jobs" | "-j" => {
-                args.jobs = number("--jobs", it)?;
-                if args.jobs == 0 {
+                cfg.jobs = number("--jobs", it)?;
+                if cfg.jobs == 0 {
                     return Err("--jobs must be at least 1".into());
                 }
             }
-            "--no-verify" => args.no_verify = true,
-            "--advanced-layouts" => args.advanced_layouts = true,
-            "--store" => args.store = Some(value("--store", it)?),
+            "--no-verify" => cfg.verify = false,
+            "--advanced-layouts" => cfg.advanced_layouts = true,
+            "--store" => cfg.store = Some(value("--store", it)?),
             "--timing" => args.timing = Some(value("--timing", it)?),
             "--manifest" => args.manifest = Some(value("--manifest", it)?),
-            "--progress" => args.progress = true,
+            "--progress" => cfg.progress = true,
             "--help" | "-h" => {
                 print_help();
                 std::process::exit(0);
@@ -181,10 +176,12 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
+    let cfg = &mut args.common.cfg;
     // `--store` beats the environment; an empty ALT_STORE means "off".
-    if args.store.is_none() {
-        args.store = std::env::var("ALT_STORE").ok().filter(|s| !s.is_empty());
+    if cfg.store.is_none() {
+        cfg.store = std::env::var("ALT_STORE").ok().filter(|s| !s.is_empty());
     }
+    cfg.timing = args.timing.is_some() || args.manifest.is_some();
     Ok(args)
 }
 
@@ -217,8 +214,8 @@ OPTIONS:
                              tuner retries, quarantines repeat offenders, and
                              still completes within its exact budget [default: 0]
         --checkpoint <PATH>  periodically write resumable tuner state here
-        --checkpoint-every <N>  checkpoint every N consumed budget units [default: 50
-                             when --checkpoint is set]
+        --checkpoint-every <N>  checkpoint every N consumed budget units; 0 writes
+                             only on halt                             [default: 50]
         --resume <PATH>      resume tuning from a checkpoint written by a run
                              with the same model, platform, seed, and budget
     -j, --jobs <N>           worker threads for candidate measurement; any N
@@ -355,9 +352,10 @@ fn run_run(rest: &[String]) -> i32 {
         model,
         budget,
         batch,
-        seed,
+        cfg,
         ..
     } = &common;
+    let seed = &cfg.seed;
 
     let compiler = Compiler::new(machine).with_options(common.options());
     let compiled = if *budget == 0 {
@@ -785,7 +783,6 @@ struct VerifyArgs {
     json: bool,
     presets: bool,
     explain: bool,
-    advanced_layouts: bool,
 }
 
 fn parse_verify(mut it: impl Iterator<Item = String>) -> Result<VerifyArgs, String> {
@@ -798,7 +795,7 @@ fn parse_verify(mut it: impl Iterator<Item = String>) -> Result<VerifyArgs, Stri
             "--json" => args.json = true,
             "--presets" => args.presets = true,
             "--explain" => args.explain = true,
-            "--advanced-layouts" => args.advanced_layouts = true,
+            "--advanced-layouts" => args.common.cfg.advanced_layouts = true,
             "--help" | "-h" => {
                 println!(
                     "usage: altc verify [--model NAME] [--platform NAME] [--budget N]\n\
@@ -833,7 +830,6 @@ fn run_verify(rest: &[String]) -> i32 {
         json,
         presets,
         explain,
-        advanced_layouts,
     } = or_exit(parse_verify(rest.iter().cloned()));
 
     let (subject, diags, stats) = if presets {
@@ -850,10 +846,7 @@ fn run_verify(rest: &[String]) -> i32 {
             batch,
             ..
         } = &common;
-        let compiler = Compiler::new(machine).with_options(CompileOptions {
-            advanced_layouts,
-            ..common.options()
-        });
+        let compiler = Compiler::new(machine).with_options(common.options());
         let compiled = if *budget == 0 {
             compiler.compile_unoptimized(&graph)
         } else {
@@ -1154,37 +1147,16 @@ fn main() {
         return;
     }
     let profile = or_exit(build_platform(&common.platform));
-
-    // A checkpoint path without an explicit interval still wants periodic
-    // writes, not just halt-time ones.
-    let checkpoint_every = match (args.checkpoint_every, &args.checkpoint) {
-        (0, Some(_)) => 50,
-        (n, _) => n,
-    };
-    if let Some(path) = &args.resume {
+    let cfg = &common.cfg;
+    if let Some(path) = &cfg.resume {
         if !std::path::Path::new(path).exists() {
             eprintln!("error: --resume {path}: no such file");
             std::process::exit(2);
         }
     }
-    let compiler = Compiler::new(profile).with_options(CompileOptions {
-        fault_rate: args.faults,
-        checkpoint: args.checkpoint.clone(),
-        checkpoint_every,
-        resume: args.resume.clone(),
-        jobs: args.jobs,
-        verify: !args.no_verify,
-        advanced_layouts: args.advanced_layouts,
-        journal: args.journal.clone(),
-        store: args.store.clone(),
-        // An unopenable trace path degrades to a warning inside
-        // `compile` (the run continues trace-less), matching the
-        // journal and store contracts.
-        trace: args.trace.clone(),
-        timing: args.timing.is_some() || args.manifest.is_some(),
-        progress: args.progress,
-        ..common.options()
-    });
+    // An unopenable trace, journal or store degrades to a warning inside
+    // `compile`: the run continues without it.
+    let compiler = Compiler::new(profile).with_options(common.options());
 
     eprintln!(
         "compiling {} (batch {}) for {} with budget {}...",
@@ -1221,7 +1193,7 @@ fn main() {
             wall
         );
     }
-    if let Some(path) = &args.store {
+    if let Some(path) = &cfg.store {
         if compiled.warm_start() {
             eprintln!("warm start: winner replayed from store {path} (0 measurements)");
         } else {
@@ -1229,10 +1201,10 @@ fn main() {
             eprintln!("store {path}: {hits} hits, {misses} misses; inspect with `altc store stats {path}`");
         }
     }
-    if let Some(path) = &args.trace {
+    if let Some(path) = &cfg.trace {
         eprintln!("trace written to {path}; inspect with `altc report {path}`");
     }
-    if let Some(path) = &args.journal {
+    if let Some(path) = &cfg.journal {
         eprintln!("journal written to {path}; inspect with `altc inspect {path}`");
     }
     // The timing stream has its own sink: wall-clock records never mix
@@ -1291,7 +1263,7 @@ mod tests {
                     c.platform.as_str(),
                     c.budget,
                     c.batch,
-                    c.seed
+                    c.cfg.seed
                 ),
                 ("bt", "arm", 7, 2, 9)
             );
@@ -1309,6 +1281,24 @@ mod tests {
         for common in each_subcommand("--model") {
             assert_eq!(common.err().as_deref(), Some("--model requires a value"));
         }
+    }
+
+    #[test]
+    fn tuning_flags_parse_into_the_run_configuration() {
+        let args = parse_args(argv(
+            "--seed 4 --jobs 2 --faults 0.1 --no-verify --checkpoint ck.json --manifest m.json",
+        ))
+        .expect("parses");
+        let cfg = args.common.options();
+        assert_eq!((cfg.seed, cfg.jobs, cfg.fault_rate), (4, 2, 0.1));
+        assert!(!cfg.verify);
+        assert_eq!(cfg.checkpoint.as_deref(), Some("ck.json"));
+        assert_eq!(
+            cfg.checkpoint_every, 50,
+            "a path alone checkpoints periodically"
+        );
+        assert!(cfg.timing, "--manifest implies timing");
+        assert_eq!((cfg.joint_budget, cfg.loop_budget), (120, 180));
     }
 
     #[test]

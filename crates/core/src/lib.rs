@@ -31,155 +31,18 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use alt_autotune::tuner::{FixedLayout, LayoutSearch, TuneConfig};
-use alt_autotune::{tune_graph, FaultConfig, Observer, PpoWeights, TunerCheckpoint};
+use alt_autotune::{Handles, Tuner};
 use alt_layout::{Layout, LayoutPlan, PropagationMode};
 use alt_loopir::{lower, run_program, GraphSchedule, Program};
 use alt_sim::{MachineProfile, Simulator};
 use alt_telemetry::{Record, Telemetry, Timing};
 use alt_tensor::{Graph, NdBuf, TensorId};
 
-pub use alt_autotune::tuner::TuneResult;
+/// Compilation options: the tuner's run configuration, under the name
+/// the compiler facade has always used.
+pub use alt_autotune::TuneConfig as CompileOptions;
+pub use alt_autotune::TuneResult;
 pub use alt_telemetry::{JsonlSink, MemorySink, RunSummaryRecord, Sink};
-
-/// Compilation options (a curated surface over the tuner configuration).
-#[derive(Clone, Debug)]
-pub struct CompileOptions {
-    /// Measurement budget for the joint layout+loop stage.
-    pub joint_budget: u64,
-    /// Measurement budget for the loop-only stage.
-    pub loop_budget: u64,
-    /// Layout template tiling levels (1 or 2).
-    pub levels: u8,
-    /// Append the advanced `xform` knob (XOR swizzle, block-diagonal
-    /// remap, Morton interleave) to every layout template. Opt-in: the
-    /// extra knob grows the pruned template spaces and shifts seeded
-    /// trajectories.
-    pub advanced_layouts: bool,
-    /// Layout propagation mode.
-    pub propagation: PropagationMode,
-    /// Treat graph inputs as re-layoutable offline (single-operator
-    /// benchmarking); end-to-end compilation should leave this `false`.
-    pub free_input_layouts: bool,
-    /// Random seed (compilation is fully deterministic given the seed).
-    pub seed: u64,
-    /// Pretrained PPO weights to warm-start the layout agents.
-    pub pretrained: Option<PpoWeights>,
-    /// Skip layout tuning and pin this layout family instead.
-    pub fixed_layout: Option<FixedLayout>,
-    /// Layout candidate generator (PPO or random).
-    pub layout_search: LayoutSearch,
-    /// Injected fault rate in `[0, 1)` for robustness testing: the rate
-    /// is split between compile failures, measurement timeouts, and
-    /// noisy latencies ([`FaultConfig::uniform`]). Zero disables
-    /// injection entirely (the run is bit-identical to one without it).
-    pub fault_rate: f64,
-    /// Write tuner checkpoints to this path during compilation.
-    pub checkpoint: Option<String>,
-    /// Checkpoint every N consumed budget units (0 = only on halt).
-    pub checkpoint_every: u64,
-    /// Resume tuning from a checkpoint file written by a previous run
-    /// with the same graph and seed.
-    pub resume: Option<String>,
-    /// Worker threads for candidate measurement (0 or 1 = sequential).
-    /// Any value produces a bit-identical compilation result, trace, and
-    /// budget accounting: workers only prewarm the memoized simulation
-    /// cache, while all accounting stays on one thread.
-    pub jobs: usize,
-    /// Statically verify every lowered candidate before simulation.
-    /// Rejected candidates are dropped without consuming any measurement
-    /// budget (counted under `verify.rejected`). On by default.
-    pub verify: bool,
-    /// Write the search journal (one JSONL record per candidate, layout
-    /// visit/commit, plus a run header and summary) to this path. A
-    /// resumed run appends to the journal its predecessor started, so
-    /// the finished file reads as one uninterrupted run. Inspect with
-    /// `altc inspect <path>`.
-    pub journal: Option<String>,
-    /// Path to a durable tuning store. Measurements hit the store before
-    /// the simulator, and a completed run publishes its winner; a later
-    /// compile of the same task short-circuits to the stored winner
-    /// without spending any budget. A store that cannot be opened (bad
-    /// magic, incompatible version, held writer lock) degrades to a
-    /// warning — compilation proceeds store-less rather than failing.
-    pub store: Option<String>,
-    /// Write the deterministic telemetry trace (JSONL) to this path. A
-    /// trace that cannot be opened degrades to a warning — compilation
-    /// proceeds trace-less (falling back to any sink attached via
-    /// [`Compiler::with_telemetry`]) rather than failing.
-    pub trace: Option<String>,
-    /// Wall-clock self-profiling: phase attribution across the whole
-    /// pipeline (candidate generation, lowering, GBT scoring,
-    /// simulation, retries, checkpoints) plus store/memo-cache latency
-    /// histograms. Observation-only — the timing stream has its own
-    /// records and manifest on [`CompiledGraph`], never the trace or
-    /// journal, so the compiled result is bit-identical either way.
-    pub timing: bool,
-    /// Print a throttled live progress heartbeat to stderr during
-    /// tuning (budget fraction, candidates/s, cache and store hit
-    /// rates, ETA). Reads statistics only; cannot change a run.
-    pub progress: bool,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        Self {
-            joint_budget: 300,
-            loop_budget: 700,
-            levels: 1,
-            advanced_layouts: false,
-            propagation: PropagationMode::Full,
-            free_input_layouts: false,
-            seed: 0,
-            pretrained: None,
-            fixed_layout: None,
-            layout_search: LayoutSearch::Ppo,
-            fault_rate: 0.0,
-            checkpoint: None,
-            checkpoint_every: 0,
-            resume: None,
-            jobs: 1,
-            verify: true,
-            journal: None,
-            store: None,
-            trace: None,
-            timing: false,
-            progress: false,
-        }
-    }
-}
-
-/// FNV-1a over a canonical rendering of the result-relevant options:
-/// the run manifest's configuration fingerprint. Two compiles with the
-/// same fingerprint (and graph and machine) produce bit-identical
-/// results; observability knobs (trace/timing/progress paths) are
-/// excluded so attaching them never changes the fingerprint, and so is
-/// `jobs` (any worker count is bit-identical; it is an environment
-/// fact, recorded in the manifest's `env` block instead).
-fn config_fingerprint(o: &CompileOptions) -> u64 {
-    let canonical = format!(
-        "joint={} loop={} levels={} adv={} prop={:?} free={} seed={} pretrained={} fixed={:?} \
-         search={:?} faults={} verify={}",
-        o.joint_budget,
-        o.loop_budget,
-        o.levels,
-        o.advanced_layouts,
-        o.propagation,
-        o.free_input_layouts,
-        o.seed,
-        o.pretrained.is_some(),
-        o.fixed_layout,
-        o.layout_search,
-        o.fault_rate,
-        o.verify,
-    );
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in canonical.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The ALT compiler for one target machine.
 #[derive(Clone, Debug)]
@@ -229,63 +92,15 @@ impl Compiler {
     pub fn compile(&self, graph: &Graph) -> CompiledGraph {
         let t0 = std::time::Instant::now();
         let o = &self.options;
-        let resume = o.resume.as_ref().map(|path| {
-            let ck = TunerCheckpoint::load(path).expect("loading checkpoint");
-            ck.validate(graph, o.seed)
-                .expect("checkpoint does not match this graph/seed");
-            ck
-        });
-        // Observability plumbing must never kill a compile: an
-        // unopenable trace or journal degrades to a warning, and the run
-        // continues without it (trace-less runs fall back to any sink
-        // attached via `with_telemetry`).
-        let mut observer = Observer {
-            timing: if o.timing {
-                Timing::enabled()
-            } else {
-                Timing::disabled()
-            },
-            progress: o.progress,
-            ..Observer::open(o.trace.as_deref(), o.journal.as_deref(), resume.is_some())
-        };
-        if !observer.trace.is_enabled() {
-            observer.trace = self.telemetry.clone();
+        let mut handles = Handles::open(o).unwrap_or_else(|e| panic!("{e}"));
+        // A trace-less run falls back to any sink attached via
+        // `with_telemetry`.
+        if !handles.observer.trace.is_enabled() {
+            handles.observer.trace = self.telemetry.clone();
         }
-        let (telemetry, timing) = (observer.trace.clone(), observer.timing.clone());
-        // Same contract for the durable store: open failures (foreign
-        // file, incompatible version, held writer lock) cost the warm
-        // tier, not the compilation.
-        let store = o.store.as_ref().and_then(|path| {
-            match alt_store::Store::open(std::path::Path::new(path)) {
-                Ok(s) => Some(std::sync::Arc::new(s)),
-                Err(e) => {
-                    eprintln!("warning: {e}; continuing without a tuning store");
-                    None
-                }
-            }
-        });
-        let cfg = TuneConfig {
-            joint_budget: o.joint_budget,
-            loop_budget: o.loop_budget,
-            levels: o.levels,
-            advanced_layouts: o.advanced_layouts,
-            mode: o.propagation,
-            free_input_layouts: o.free_input_layouts,
-            seed: o.seed,
-            pretrained: o.pretrained.clone(),
-            fixed_layout: o.fixed_layout,
-            layout_search: o.layout_search,
-            faults: (o.fault_rate > 0.0).then(|| FaultConfig::uniform(o.fault_rate)),
-            checkpoint_path: o.checkpoint.clone(),
-            checkpoint_every: o.checkpoint_every,
-            resume,
-            jobs: o.jobs,
-            verify: o.verify,
-            store,
-            observer,
-            ..TuneConfig::default()
-        };
-        let result = tune_graph(graph, self.profile, cfg);
+        let telemetry = handles.observer.trace.clone();
+        let timing = handles.observer.timing.clone();
+        let result = Tuner::new(graph, self.profile, o.clone(), handles).tune();
         let program = lower(graph, &result.plan, &result.sched);
         let run_summary = RunSummaryRecord {
             joint_budget: o.joint_budget,
@@ -315,7 +130,7 @@ impl Compiler {
                 ("journal", serde_json::json!(o.journal.is_some())),
                 ("wall_s", serde_json::json!(t0.elapsed().as_secs_f64())),
             ],
-            config_fingerprint(o),
+            o.fingerprint(),
         );
         let timing_records = if timing.is_enabled() {
             let (t, sink) = Telemetry::memory();
@@ -982,6 +797,99 @@ mod tests {
             assert!(buf.max_abs_diff(&got[&id]) < 1e-3);
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpoint_path_alone_writes_a_valid_checkpoint() {
+        // The default cadence checkpoints a library compile that only
+        // names a path: no interval flag, no halt.
+        let (g, _) = sample_graph();
+        let dir = std::env::temp_dir().join(format!("alt-core-ck-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("ck.json").to_string_lossy().into_owned();
+        let compiled = Compiler::new(intel_cpu())
+            .with_options(CompileOptions {
+                joint_budget: 50,
+                loop_budget: 50,
+                free_input_layouts: true,
+                seed: 3,
+                checkpoint: Some(path.clone()),
+                ..CompileOptions::default()
+            })
+            .compile(&g);
+        assert_eq!(compiled.measurements(), 100);
+        let ck = alt_autotune::TunerCheckpoint::load(&path).expect("checkpoint written");
+        ck.validate(&g, 3).expect("checkpoint matches the compile");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn manifest_fingerprint_covers_exactly_the_result_relevant_options() {
+        let (g, _) = sample_graph();
+        let base = CompileOptions {
+            joint_budget: 8,
+            loop_budget: 8,
+            free_input_layouts: true,
+            seed: 3,
+            timing: true,
+            ..CompileOptions::default()
+        };
+        let fp = base.fingerprint();
+        let manifest = Compiler::new(intel_cpu())
+            .with_options(base.clone())
+            .compile(&g)
+            .timing_manifest()
+            .expect("timing on")["config_fp"]
+            .clone();
+        assert_eq!(manifest, serde_json::json!(format!("{fp:016x}")));
+        // Worker count, streams, store and checkpoints leave it alone...
+        let dir = std::env::temp_dir().join(format!("alt-core-fp-{}", std::process::id()));
+        let at = |name: &str| Some(dir.join(name).to_string_lossy().into_owned());
+        for same in [
+            CompileOptions {
+                jobs: 2,
+                ..base.clone()
+            },
+            CompileOptions {
+                trace: at("t.jsonl"),
+                journal: at("j.jsonl"),
+                ..base.clone()
+            },
+            CompileOptions {
+                timing: false,
+                progress: true,
+                ..base.clone()
+            },
+            CompileOptions {
+                store: at("s.alts"),
+                checkpoint: at("ck.json"),
+                checkpoint_every: 5,
+                ..base.clone()
+            },
+        ] {
+            assert_eq!(same.fingerprint(), fp, "{same:?}");
+        }
+        // ...while the seed, a budget, the verifier and faults move it.
+        for moved in [
+            CompileOptions {
+                seed: 4,
+                ..base.clone()
+            },
+            CompileOptions {
+                loop_budget: 9,
+                ..base.clone()
+            },
+            CompileOptions {
+                verify: false,
+                ..base.clone()
+            },
+            CompileOptions {
+                fault_rate: 0.1,
+                ..base.clone()
+            },
+        ] {
+            assert_ne!(moved.fingerprint(), fp, "{moved:?}");
+        }
     }
 
     #[test]

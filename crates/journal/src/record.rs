@@ -113,7 +113,7 @@ pub struct CandidateRecord {
 }
 
 /// One layout point assessed during the joint stage (each visit runs
-/// `rounds_per_layout` loop rounds whose candidates appear as
+/// one round of loop tuning whose candidates appear as
 /// [`CandidateRecord`]s with stage `"joint"`).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LayoutVisitRecord {
